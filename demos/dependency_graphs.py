@@ -24,27 +24,25 @@ record = Record(
     label=0,
 )
 
-g = build_graph(record, max_len=8)
-n = len(record)
+g = build_graph(record)
 
-# Adjacency: self-loops on the diagonal, one symmetric pair per head arc,
-# and nothing across the sentence boundary or in the padding rows.
-print("adjacency (first", n, "rows of the padded matrix):")
-print(g.adjacency[:n, :n])
-print("padding rows are all zero:", not g.adjacency[n:].any())
+# Adjacency: one row and column per token, self-loops on the diagonal,
+# one symmetric pair per head arc, and nothing across the sentence boundary.
+print("adjacency (%d x %d):" % g.adjacency.shape)
+print(g.adjacency)
 
 # Degrees differ, so normalization rescales each edge by both endpoints:
 # entry (i, j) becomes 1 / sqrt(deg_i * deg_j).
-deg = g.adjacency.sum(axis=1)[:n]
+deg = g.adjacency.sum(axis=1)
 print("degrees:", deg)
-print("normalized block:")
-print(g.real_block())
+print("normalized:")
+print(g.normalized)
 expected = 1.0 / np.sqrt(deg[0] * deg[1])
-print("entry (0, 1) equals 1/sqrt(deg0*deg1):", g.real_block()[0, 1], "==", expected)
+print("entry (0, 1) equals 1/sqrt(deg0*deg1):", g.normalized[0, 1], "==", expected)
 
-# The ablation wires every real token to every other, parse and sentence
+# The ablation wires every token to every other, parse and sentence
 # boundaries included.  After normalization each row is uniform: the
 # convolution then averages all tokens, erasing who modifies whom.
-flat = build_graph(record, mode="all_ones", max_len=8)
-print("\nall-ones normalized block (every row uniform):")
-print(flat.real_block())
+flat = build_graph(record, mode="all_ones")
+print("\nall-ones normalized (every row uniform):")
+print(flat.normalized)

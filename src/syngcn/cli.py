@@ -159,13 +159,12 @@ def _cmd_inspect_graph(args) -> int:
         raise CorpusError(f"record index {args.index} out of range (corpus has {len(records)})")
     record = records[args.index]
     graph = build_graph(record, mode=args.mode or "syntax", max_len=args.max_len)
-    n = graph.n
-    print(f"record {args.index}: {n} token(s), {len(record.sent_bounds)} sentence(s)")
+    print(f"record {args.index}: {len(record)} token(s), {len(record.sent_bounds)} sentence(s)")
     print("tokens:", " ".join(record.tokens))
     print("adjacency (real-token block):")
-    print(_format_matrix(graph.adjacency[:n, :n]))
+    print(_format_matrix(graph.adjacency))
     print("normalized adjacency:")
-    print(_format_matrix(graph.normalized[:n, :n]))
+    print(_format_matrix(graph.normalized))
     return 0
 
 
@@ -250,8 +249,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CorpusError, ConfigError, CheckpointError, OptimizationError,
-            ShapeError, GraphError, OSError, ValueError) as exc:
+    except (*_ERROR_PREFIX, OSError, ValueError) as exc:
         return _fail(args.command, exc)
 
 

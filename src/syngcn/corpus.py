@@ -16,12 +16,12 @@ A corpus file is UTF-8 JSON lines, one record per line:
 Records longer than ``max_len`` tokens are truncated (counted in the
 load report); a head pointing past the cut becomes a root.
 
-The dependency graph of a record is a symmetric 0/1 adjacency over its
-tokens: one self-loop per real token plus both directions of every
-head arc, assembled block-diagonally per sentence so no edge crosses a
+The dependency graph of an n-token record is a symmetric n x n 0/1
+adjacency: one self-loop per token plus both directions of every head
+arc, assembled block-diagonally per sentence so no edge crosses a
 sentence boundary.  Its symmetric normalization divides each entry by
-the square roots of both endpoint degrees; all-zero rows (padding) stay
-zero.
+the square roots of both endpoint degrees (never zero, thanks to the
+self-loops).
 """
 
 from __future__ import annotations
@@ -97,32 +97,36 @@ class LoadReport:
     truncated: int = 0
 
 
-def _parse_label(value, line_no: int) -> int:
+def _parse_label(value, where: str) -> int:
     if isinstance(value, bool):
-        raise CorpusError(f"line {line_no}: label must be an integer or name")
+        raise CorpusError(f"{where}: label must be an integer or name")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         for names in (EMOTION_NAMES, POLARITY_NAMES):
             if value in names:
                 return names.index(value)
-        raise CorpusError(f"line {line_no}: unknown label name {value!r}")
-    raise CorpusError(f"line {line_no}: label must be an integer or name")
+        raise CorpusError(f"{where}: unknown label name {value!r}")
+    raise CorpusError(f"{where}: label must be an integer or name")
 
 
-def _truncate(tokens, sent_bounds, heads, max_len):
-    tokens = tokens[:max_len]
-    bounds = []
-    for start, stop in sent_bounds:
-        if start >= max_len:
-            break
-        bounds.append((start, min(stop, max_len)))
-    heads = list(heads[:max_len])
+def _int_list(value, what: str, where: str, length: int | None = None) -> list[int]:
+    """``value`` if it is a list of JSON integers (``length`` of them, if given)."""
+    if isinstance(value, list) and length in (None, len(value)) and set(map(type, value)) <= {int}:
+        return value
+    count = f"{length} " if length else ""
+    raise CorpusError(f"{where}: {what} must be a list of {count}integers, got {json.dumps(value)[:60]}")
+
+
+def _truncate(record: Record, max_len: int) -> Record:
+    """The first max_len tokens of a valid record; heads past the cut become roots."""
+    bounds = tuple((a, min(b, max_len)) for a, b in record.sent_bounds if a < max_len)
+    heads = list(record.heads[:max_len])
     for start, stop in bounds:
         for t in range(start, stop):
             if heads[t] > stop - start:
-                heads[t] = 0  # head fell past the cut; promote to root
-    return tokens, bounds, heads
+                heads[t] = 0
+    return Record(record.tokens[:max_len], bounds, tuple(heads), record.label)
 
 
 def load_corpus(
@@ -141,33 +145,41 @@ def load_corpus(
         raise ValueError(f"unknown schema {schema!r}")
     report = LoadReport(path=str(path))
     records: list[Record] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+            where = f"{path}: line {line_no}"
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{where}: not UTF-8 ({exc.reason})") from exc
             if not line:
                 continue
             try:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from exc
+                raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from exc
             if not isinstance(raw, dict) or "tokens" not in raw or "heads" not in raw:
-                raise CorpusError(f"{path}: line {line_no}: record needs tokens and heads fields")
+                raise CorpusError(f"{where}: record needs tokens and heads fields")
+            if not isinstance(raw["tokens"], list):
+                raise CorpusError(f"{where}: tokens must be a list, got {json.dumps(raw['tokens'])[:60]}")
             tokens = [str(t) for t in raw["tokens"]]
-            heads = [int(h) for h in raw["heads"]]
-            bounds = [tuple(int(v) for v in span) for span in raw.get("sent_bounds", [])]
-            if not bounds:
-                bounds = [(0, len(tokens))]
+            heads = _int_list(raw["heads"], "heads", where)
+            spans = raw.get("sent_bounds", [])
+            if not isinstance(spans, list):
+                raise CorpusError(f"{where}: sent_bounds must be a list of [start, stop] pairs")
+            bounds = [tuple(_int_list(span, "a sent_bounds span", where, 2)) for span in spans]
+            bounds = bounds or [(0, len(tokens))]
             if "label" in raw and raw["label"] is not None:
-                label = _parse_label(raw["label"], line_no)
+                label = _parse_label(raw["label"], where)
             elif schema == "train":
-                raise CorpusError(f"{path}: line {line_no}: label required under train schema")
+                raise CorpusError(f"{where}: label required under train schema")
             else:
                 label = None
-            if len(tokens) > max_len:
-                tokens, bounds, heads = _truncate(tokens, bounds, heads, max_len)
-                report.truncated += 1
             record = Record(tuple(tokens), tuple(bounds), tuple(heads), label)
-            record.validate(classes=classes, where=f"{path}: line {line_no}")
+            record.validate(classes=classes, where=where)
+            if len(record) > max_len:
+                record = _truncate(record, max_len)
+                report.truncated += 1
             records.append(record)
     report.records = len(records)
     return records, report
@@ -251,54 +263,46 @@ def build_vocab(records, min_count: int = 1) -> Vocabulary:
 
 @dataclass(frozen=True)
 class GraphMatrices:
-    """Padded adjacency and its symmetric normalization for one record.
+    """Adjacency and its symmetric normalization for one n-token record.
 
-    ``adjacency`` is max_len x max_len with entries in {0, 1}: self-loops
-    on real tokens plus symmetric head arcs, zero in padding and across
-    sentence boundaries.  ``normalized`` rescales each entry by the
-    inverse square roots of both endpoint degrees (zero-degree rows stay
-    all-zero).
+    ``adjacency`` is n x n with entries in {0, 1}: a self-loop on every
+    token plus symmetric head arcs, zero across sentence boundaries.
+    ``normalized`` rescales each entry by the inverse square roots of
+    both endpoint degrees.  Both are read-only.
     """
 
-    n: int
     adjacency: np.ndarray
     normalized: np.ndarray
 
     def real_block(self) -> np.ndarray:
-        """The n x n normalized block covering real tokens."""
-        return self.normalized[: self.n, : self.n]
+        """Alias of ``normalized``, which tests/test_acceptance.py calls by this name."""
+        return self.normalized
 
 
 def build_graph(record: Record, mode: str = "syntax", max_len: int = MAX_TOKENS) -> GraphMatrices:
-    """Adjacency matrices for one validated record.
+    """The n x n adjacency matrices of one validated n-token record.
 
     "syntax" wires the dependency arcs (plus self-loops, both
-    directions); "all_ones" is the no-syntax ablation where every real
-    token links to every other.
+    directions); "all_ones" is the no-syntax ablation where every token
+    links to every other.  A record longer than ``max_len`` is rejected.
     """
     if mode not in ("syntax", "all_ones"):
         raise ValueError(f"unknown adjacency mode {mode!r}")
     n = len(record)
     if n > max_len:
         raise CorpusError(f"record with {n} tokens exceeds max_len {max_len}")
-    a = np.zeros((max_len, max_len), dtype=np.float64)
     if mode == "all_ones":
-        a[:n, :n] = 1.0
+        a = np.ones((n, n))
     else:
-        for i in range(n):
-            a[i, i] = 1.0
-        for start, stop in record.sent_bounds:
-            for t in range(start, stop):
-                h = record.heads[t]
-                if h != 0:
-                    g = start + h - 1
-                    a[t, g] = 1.0
-                    a[g, t] = 1.0
-    degrees = a.sum(axis=1)
-    inv_sqrt = np.zeros_like(degrees)
-    nonzero = degrees > 0
-    inv_sqrt[nonzero] = 1.0 / np.sqrt(degrees[nonzero])
+        # token t's head sits at (start of t's sentence) + heads[t] - 1
+        heads = np.asarray(record.heads)
+        starts = np.array([start for start, stop in record.sent_bounds for _ in range(start, stop)])
+        t = np.flatnonzero(heads)
+        g = starts[t] + heads[t] - 1
+        a = np.eye(n)
+        a[t, g] = a[g, t] = 1.0
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     normalized = a * inv_sqrt[:, None] * inv_sqrt[None, :]
     a.setflags(write=False)
     normalized.setflags(write=False)
-    return GraphMatrices(n=n, adjacency=a, normalized=normalized)
+    return GraphMatrices(adjacency=a, normalized=normalized)

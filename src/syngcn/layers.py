@@ -100,9 +100,10 @@ class LstmCell:
 class BiLstm:
     """Stacked bidirectional LSTM over a [n, d] feature matrix.
 
-    Each layer runs one forward and one backward cell and concatenates
-    their states per position, so the output is [n, 2*hidden].  Inverted
-    dropout (training only) sits between layers and after the last one.
+    Each layer runs one forward and one backward cell and places their
+    [n, hidden] state matrices side by side, so the output is
+    [n, 2*hidden].  Inverted dropout (training only) sits between layers
+    and after the last one.
     """
 
     def __init__(self, input_dim: int, hidden: int, layers: int, dropout: float, rng: np.random.Generator):
@@ -146,10 +147,9 @@ class BiLstm:
         out = x
         for fwd, bwd in self.cells:
             rows = [T.slice_rows(out, t, t + 1) for t in range(n)]
-            fwd_states = fwd.run(rows)
-            bwd_states = bwd.run(rows, reverse=True)
-            per_pos = [T.concat(fwd_states[t], bwd_states[t], axis=1) for t in range(n)]
-            out = T.concat_rows(per_pos)
+            fwd_states = T.concat_rows(fwd.run(rows))
+            bwd_states = T.concat_rows(bwd.run(rows, reverse=True))
+            out = T.concat(fwd_states, bwd_states, axis=1)
             if training and self.dropout > 0:
                 out = self._dropout(out, rng)
         return out

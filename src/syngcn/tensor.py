@@ -99,23 +99,8 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def tanh(self):
-        return tanh(self)
-
     def sum(self):
         return sum_all(self)
-
-    def transpose(self):
-        return transpose(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     def backward(self) -> None:
         backward(self)

@@ -15,9 +15,13 @@ produce identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -220,7 +224,7 @@ class Model:
 
     def encode(self, record: Record) -> tuple[np.ndarray, np.ndarray]:
         graph = build_graph(record, self.config.adjacency_mode, self.config.max_len)
-        return self.vocab.encode(record.tokens), graph.real_block()
+        return self.vocab.encode(record.tokens), graph.normalized
 
     def predict(self, records: list[Record]) -> tuple[list[int], np.ndarray]:
         """Predicted class ids and the full probability rows."""
@@ -245,11 +249,11 @@ class Model:
         if set(state) != set(expected):
             missing = sorted(set(expected) ^ set(state))
             raise CheckpointError(f"parameter set mismatch: {missing}")
+        for name, current in expected.items():
+            if np.shape(state[name]) != current.shape:
+                raise CheckpointError(f"{name}: shape {np.shape(state[name])} != {current.shape}")
         for name, p in self.named_parameters():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise CheckpointError(f"{name}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr.copy()
+            p.data = np.asarray(state[name], dtype=np.float64).copy()
         if self.batch_norm is not None:
             self.batch_norm.load_state(
                 state["batch_norm.running_mean"], state["batch_norm.running_var"]
@@ -282,24 +286,12 @@ def total_loss(
     """Mean cross-entropy plus orthogonality and L2 penalties."""
     if len(batch_logits) != len(batch_labels) or not batch_logits:
         raise ValueError("batch logits and labels must align and be non-empty")
-    ce = T.softmax_cross_entropy(batch_logits[0], batch_labels[0])
-    for logits, label in zip(batch_logits[1:], batch_labels[1:]):
-        ce = ce + T.softmax_cross_entropy(logits, label)
+    ce = reduce(T.add, map(T.softmax_cross_entropy, batch_logits, batch_labels))
     loss = ce * (1.0 / len(batch_logits))
-    if lambda_orth > 0:
-        pen = None
-        for w in weights:
-            term = orthogonality_penalty(w)
-            pen = term if pen is None else pen + term
-        if pen is not None:
-            loss = loss + pen * lambda_orth
-    if lambda_l2 > 0:
-        pen = None
-        for w in weights:
-            term = (w * w).sum()
-            pen = term if pen is None else pen + term
-        if pen is not None:
-            loss = loss + pen * lambda_l2
+    if lambda_orth > 0 and weights:
+        loss = loss + reduce(T.add, map(orthogonality_penalty, weights)) * lambda_orth
+    if lambda_l2 > 0 and weights:
+        loss = loss + reduce(T.add, ((w * w).sum() for w in weights)) * lambda_l2
     return loss
 
 
@@ -444,11 +436,24 @@ def train(
     return TrainResult(model=model, history=history, best_epoch=best_epoch, best_dev=best_dev)
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Binary file handle on a temp file beside ``path``, renamed over ``path`` on success."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_history(history: list[dict], path) -> None:
     """One JSON object per line, keys sorted: byte-stable across runs."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for entry in history:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            fh.write((json.dumps(entry, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def load_history(path) -> list[dict]:
@@ -474,7 +479,7 @@ def save_checkpoint(model: Model, path) -> None:
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
     }
     header_bytes = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _atomic_open(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQ", _FORMAT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
@@ -500,24 +505,27 @@ def load_checkpoint(path) -> Model:
     try:
         header = json.loads(blob[prefix : prefix + header_len].decode("utf-8"))
         config = TrainConfig.from_dict(header["config"])
-        manifest = header["arrays"]
         vocab = Vocabulary.from_words(header["vocab_words"])
-    except (ValueError, KeyError, TypeError) as exc:
+        shapes = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        for name, shape in shapes:
+            if not isinstance(name, str) or any(type(d) is not int or d < 0 for d in shape):
+                raise CheckpointError(f"{path}: manifest entry {name!r} needs a string name and "
+                                      f"a shape of non-negative integers, got {list(shape)}")
+    except KeyError as exc:
+        raise CheckpointError(f"{path} has a corrupt header: missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
 
     payload = blob[prefix + header_len :]
-    expected = sum(int(np.prod(entry["shape"])) for entry in manifest) * 8
+    expected = sum(math.prod(shape) for _, shape in shapes) * 8
     if len(payload) != expected:
         raise CheckpointError(f"{path} is truncated ({len(payload)} of {expected} payload bytes)")
 
     state: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        state[entry["name"]] = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=offset
-        ).reshape(shape)
+    for name, shape in shapes:
+        count = math.prod(shape)
+        state[name] = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
         offset += count * 8
 
     model = Model(config, vocab, rng=np.random.default_rng(0))

@@ -115,6 +115,21 @@ class TestEval:
         assert code == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_manifest_without_shape_fails_cleanly(self, workspace, tmp_path, capsys):
+        import struct
+
+        blob = workspace["checkpoint"].read_bytes()
+        header_len = struct.unpack("<Q", blob[8:16])[0]
+        header = json.loads(blob[16 : 16 + header_len])
+        del header["arrays"][0]["shape"]
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "noshape.sgcn"
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len :])
+        code = main(["predict", "--checkpoint", str(bad), "--test", str(workspace["corpus"])])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "checkpoint:" in err and "shape" in err and "Traceback" not in err
+
 
 class TestPredict:
     def test_empty_input_empty_output(self, workspace, tmp_path, capsys):
@@ -191,6 +206,14 @@ class TestInspectGraph:
         assert main(["inspect-graph", "--corpus", str(corpus), "--mode", "all_ones"]) == 0
         out = capsys.readouterr().out
         assert out.count(" 0.500") == 4
+
+    @pytest.mark.parametrize("row", [{"tokens": ["a"], "heads": 3}, {"tokens": ["a"], "heads": ["x"]}])
+    def test_mistyped_corpus_line_fails_cleanly(self, tmp_path, capsys, row):
+        corpus = tmp_path / "bad.jsonl"
+        self.write_corpus(corpus, [row])
+        assert main(["inspect-graph", "--corpus", str(corpus)]) == 1
+        err = capsys.readouterr().err
+        assert "corpus:" in err and "line 1: heads" in err and "Traceback" not in err
 
     def test_bad_index(self, tmp_path, capsys):
         corpus = tmp_path / "one.jsonl"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from syngcn.corpus import (
     EMOTION_NAMES,
@@ -117,6 +119,59 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"heads": ["x", 0]}, "heads must be a list of integers"),
+            ({"heads": 3}, "heads must be a list of integers"),
+            ({"sent_bounds": [[0]]}, "sent_bounds span must be a list of 2 integers"),
+            ({"sent_bounds": 5}, "sent_bounds must be a list"),
+            ({"tokens": "ab"}, "tokens must be a list"),
+        ],
+    )
+    def test_mistyped_field_names_line_and_field(self, tmp_path, fields, message):
+        path = tmp_path / "typed.jsonl"
+        row = {"tokens": ["a", "b"], "heads": [0, 1], "label": 0, **fields}
+        write_lines(path, [{"tokens": ["a"], "heads": [0], "label": 0}, row])
+        with pytest.raises(CorpusError, match=f"typed.jsonl: line 2: .*{message}"):
+            load_corpus(path)
+
+    def test_non_utf8_names_line(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"tokens": ["a"], "heads": [0], "label": 0}\n{"tokens": ["\xe9"]}\n')
+        with pytest.raises(CorpusError, match="line 2: not UTF-8"):
+            load_corpus(path)
+
+    def test_invalid_head_past_the_cut_rejected(self, tmp_path):
+        path = tmp_path / "long.jsonl"
+        heads = [0] * 9 + [99]
+        write_lines(path, [{"tokens": [f"w{i}" for i in range(10)], "heads": heads, "label": 0}])
+        with pytest.raises(CorpusError, match="line 1: head 99 of token 9"):
+            load_corpus(path, max_len=5)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.dictionaries(
+            st.sampled_from(["tokens", "heads", "sent_bounds", "label"]),
+            st.recursive(
+                st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=False) | st.text(max_size=3),
+                lambda inner: st.lists(inner, max_size=6),
+                max_leaves=12,
+            ),
+        )
+    )
+    def test_any_json_record_loads_or_raises_corpus_error(self, tmp_path, raw):
+        path = tmp_path / "fuzz.jsonl"
+        write_lines(path, [raw])
+        try:
+            records, _ = load_corpus(path, schema="eval", max_len=4)
+        except CorpusError as exc:
+            assert "line 1" in str(exc)
+        else:
+            for rec in records:
+                rec.validate(classes=7)
+                assert len(rec) <= 4
+
     def test_round_trip(self, tmp_path):
         recs = [
             make_record(["a", "b", "c"], [2, 0, 2], label=4),
@@ -226,26 +281,27 @@ class TestBuildGraph:
 
     def test_three_token_chain(self):
         g = build_graph(make_record(["a", "b", "c"], [2, 0, 2]))
-        expected_a = np.zeros((MAX_TOKENS, MAX_TOKENS))
-        expected_a[:3, :3] = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
-        np.testing.assert_array_equal(g.adjacency, expected_a)
-        np.testing.assert_array_equal(g.adjacency[:3, :3].sum(axis=1), [2, 3, 2])
+        np.testing.assert_array_equal(g.adjacency, [[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        np.testing.assert_array_equal(g.adjacency.sum(axis=1), [2, 3, 2])
         assert g.normalized[0, 1] == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-15)
         assert g.normalized[0, 0] == pytest.approx(0.5)
         assert g.normalized[1, 1] == pytest.approx(1.0 / 3.0)
 
     def test_two_token_all_ones(self):
         g = build_graph(make_record(["a", "b"], [0, 1]), mode="all_ones")
-        np.testing.assert_array_equal(g.adjacency[:2, :2], np.ones((2, 2)))
-        np.testing.assert_allclose(g.real_block(), np.full((2, 2), 0.5))
+        np.testing.assert_array_equal(g.adjacency, np.ones((2, 2)))
+        np.testing.assert_allclose(g.normalized, np.full((2, 2), 0.5))
 
-    def test_padding_stays_zero(self):
-        g = build_graph(make_record(["a", "b", "c"], [2, 0, 2]))
-        assert g.adjacency[3:].sum() == 0.0
-        assert g.adjacency[:, 3:].sum() == 0.0
-        assert g.normalized[3:].sum() == 0.0
-        assert g.normalized[:, 3:].sum() == 0.0
-        assert g.adjacency.shape == (MAX_TOKENS, MAX_TOKENS)
+    def test_shape_is_n_by_n(self):
+        for n in (1, 3, 17, MAX_TOKENS):
+            rec = make_record([f"w{i}" for i in range(n)], [i + 2 for i in range(n - 1)] + [0])
+            for mode in ("syntax", "all_ones"):
+                g = build_graph(rec, mode=mode)
+                assert g.adjacency.shape == g.normalized.shape == (n, n)
+
+    def test_longer_than_max_len_rejected(self):
+        with pytest.raises(CorpusError, match="exceeds max_len 2"):
+            build_graph(make_record(["a", "b", "c"], [2, 0, 2]), max_len=2)
 
     def test_no_edge_crosses_sentences(self):
         rec = make_record(list("abcde"), [0, 1, 2, 0, 2], bounds=[(0, 2), (2, 5)])

@@ -188,8 +188,8 @@ class TestGcn:
         graph = build_graph(make_record(["a", "b", "c"], [2, 0, 2]))
         layer = GcnLayer(input_dim=8, classes=7, rng=rng)
         features = Tensor(rng.uniform(-1.0, 1.0, size=(3, 8)))
-        out = layer(features, graph.real_block())
-        oracle = np.maximum(graph.real_block() @ features.data @ layer.weight.data, 0.0)
+        out = layer(features, graph.normalized)
+        oracle = np.maximum(graph.normalized @ features.data @ layer.weight.data, 0.0)
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
     def test_padded_rows_stay_zero_through_full_matrix(self):
@@ -198,13 +198,13 @@ class TestGcn:
         from test_corpus import make_record
 
         rng = np.random.default_rng(53)
-        graph = build_graph(make_record(["a", "b", "c"], [2, 0, 2]), max_len=10)
+        graph = build_graph(make_record(["a", "b", "c"], [2, 0, 2]))
         layer = GcnLayer(input_dim=4, classes=3, rng=rng)
         padded = np.zeros((10, 4))
         padded[:3] = rng.uniform(-1.0, 1.0, size=(3, 4))
-        out = layer(Tensor(padded), graph.normalized)
+        out = layer(Tensor(padded), np.pad(graph.normalized, (0, 7)))
         np.testing.assert_array_equal(out.data[3:], np.zeros((7, 3)))
-        block = layer(Tensor(padded[:3].copy()), graph.real_block())
+        block = layer(Tensor(padded[:3].copy()), graph.normalized)
         np.testing.assert_allclose(out.data[:3], block.data, atol=1e-14)
 
     def test_shape_mismatch_rejected(self):

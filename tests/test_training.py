@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from syngcn.layers import orthogonal_init
 from syngcn.synthetic import class_word_corpus
@@ -405,6 +407,71 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
 
+    @staticmethod
+    def _rewrite_manifest(blob: bytes, edit) -> bytes:
+        import struct
+
+        header_len = struct.unpack("<Q", blob[8:16])[0]
+        header = json.loads(blob[16 : 16 + header_len])
+        edit(header["arrays"])
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len :]
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda arrays: arrays[0].pop("shape"), "shape"),
+            (lambda arrays: arrays[0].pop("name"), "name"),
+            (lambda arrays: arrays[0].update(shape=[2.5, 4]), "shape"),
+            (lambda arrays: arrays[0].update(shape=[-1, 4]), "shape"),
+            (lambda arrays: arrays[0].update(shape="34"), "shape"),
+            (lambda arrays: arrays[-1]["shape"].append(1), "batch_norm.running_var"),
+        ],
+    )
+    def test_malformed_manifest_entry_rejected(self, trained, tmp_path, edit, field):
+        _, path, _ = trained
+        bad = tmp_path / "manifest.sgcn"
+        bad.write_bytes(self._rewrite_manifest(path.read_bytes(), edit))
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(bad)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        key=st.sampled_from(["name", "shape"]),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers(-2, 40) | st.floats(allow_nan=False) | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+            max_leaves=6,
+        ),
+    )
+    def test_any_manifest_value_loads_or_raises_checkpoint_error(self, trained, tmp_path, key, value):
+        _, path, _ = trained
+        bad = tmp_path / "fuzz.sgcn"
+        bad.write_bytes(self._rewrite_manifest(path.read_bytes(), lambda arrays: arrays[1].update({key: value})))
+        try:
+            load_checkpoint(bad)
+        except CheckpointError:
+            pass
+
+    def test_failed_save_leaves_existing_file(self, trained, tmp_path, monkeypatch):
+        model, _, _ = trained
+        target = tmp_path / "model.sgcn"
+        save_checkpoint(model, target)
+        before = target.read_bytes()
+
+        class DiskFull:
+            shape = (2,)
+
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("disk full")
+
+        arrays = model.state_arrays()
+        monkeypatch.setattr(model, "state_arrays", lambda: arrays[:1] + [("boom", DiskFull())] + arrays[1:])
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(model, target)
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.sgcn"]
+
     def test_save_twice_identical_bytes(self, trained, tmp_path):
         model, _, _ = trained
         a, b = tmp_path / "a.sgcn", tmp_path / "b.sgcn"
@@ -424,3 +491,12 @@ class TestHistoryFiles:
         save_history(history, b)
         assert load_history(a) == history
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_save_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "history.jsonl"
+        save_history([{"epoch": 1}], path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_history([{"epoch": 2}, {"epoch": object()}], path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["history.jsonl"]
