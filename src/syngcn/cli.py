@@ -173,8 +173,6 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs --values with at least one value")
     base = _resolve_config(args)
-    if args.param not in base.__dataclass_fields__:
-        raise ConfigError(f"unknown sweep parameter {args.param!r}")
     rows = []
     for value in values:
         config = base.with_overrides({args.param: value})

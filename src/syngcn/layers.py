@@ -28,10 +28,6 @@ class EmbeddingTable:
         weights[0] = 0.0
         self.table = Tensor(weights, requires_grad=True)
 
-    @property
-    def dim(self) -> int:
-        return self.table.shape[1]
-
     def parameters(self):
         yield "embedding.table", self.table
 
@@ -44,6 +40,9 @@ class LstmCell:
 
     Gates: input (i), forget (f), output (o), candidate (g).  The forget
     bias starts at 1 so early training does not flush the cell state.
+    ``run`` is one tape op for a whole sequence: the gate blocks sit side
+    by side, the input projection covers all time steps at once, and the
+    backward rule is hand-written backpropagation through time.
     """
 
     GATES = ("input", "forget", "output", "candidate")
@@ -71,39 +70,59 @@ class LstmCell:
             yield self.w_x[gate]
             yield self.w_h[gate]
 
-    def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        """One time step; x is [1, input_dim], h and c are [1, hidden]."""
+    def run(self, x: Tensor, reverse: bool = False) -> Tensor:
+        """Hidden states [n, hidden] for the rows of x [n, input_dim], in row order."""
+        hid, n = self.hidden, x.shape[0]
+        params = [p for _, p in self.parameters()]  # (w_x, w_h, bias) per gate
+        # The rule stacks the per-gate arrays again: a stacked copy held by
+        # every tape op would pin weight-sized arrays per record.
+        w_x, w_h = [p.data for p in params[0::3]], [p.data for p in params[1::3]]
+        xs = x.data[::-1] if reverse else x.data
+        z_x = xs @ np.hstack(w_x) + np.hstack([p.data for p in params[2::3]])
+        w_h_all = np.hstack(w_h)
+        acts = np.empty((n, 4 * hid))  # sigmoid(i, f, o) and tanh(g) per step
+        hs, cs = np.zeros((n + 1, hid)), np.zeros((n + 1, hid))  # row t: state before step t
+        for t in range(n):
+            z = z_x[t] + hs[t] @ w_h_all
+            acts[t] = np.concatenate([_sigmoid(z[: 3 * hid]), np.tanh(z[3 * hid :])])
+            i, f, o, g = np.split(acts[t], 4)
+            cs[t + 1] = f * cs[t] + i * g
+            hs[t + 1] = o * np.tanh(cs[t + 1])
 
-        def gate(name):
-            return x @ self.w_x[name] + h @ self.w_h[name] + self.bias[name]
+        def rule(grad):
+            grad = grad[::-1] if reverse else grad
+            w_h_t, tanh_c = np.hstack(w_h).T, np.tanh(cs[1:])
+            i, f, o, g = np.split(acts, 4, axis=1)
+            # Rows start as d(activation)/d(pre-activation) of each gate.
+            dz = np.hstack([acts[:, : 3 * hid] * (1.0 - acts[:, : 3 * hid]), 1.0 - g * g])
+            dh_next = dc_next = np.zeros(hid)
+            for t in range(n - 1, -1, -1):
+                dh = grad[t] + dh_next
+                dc = dh * o[t] * (1.0 - tanh_c[t] ** 2) + dc_next
+                dz[t] *= np.concatenate([dc * g[t], dc * cs[t], dh * tanh_c[t], dc * i[t]])
+                dh_next, dc_next = dz[t] @ w_h_t, dc * f[t]
+            dx = dz @ np.hstack(w_x).T
+            dw_x, dw_h, db = xs.T @ dz, hs[:n].T @ dz, dz.sum(axis=0, keepdims=True)
+            per_gate = [d[:, k * hid : (k + 1) * hid] for k in range(4) for d in (dw_x, dw_h, db)]
+            return (dx[::-1] if reverse else dx, *per_gate)
 
-        i = T.sigmoid(gate("input"))
-        f = T.sigmoid(gate("forget"))
-        o = T.sigmoid(gate("output"))
-        g = T.tanh(gate("candidate"))
-        c_next = f * c + i * g
-        h_next = o * T.tanh(c_next)
-        return h_next, c_next
+        out = hs[1:][::-1] if reverse else hs[1:]
+        return T.apply_op((x, *params), out.copy(), rule)
 
-    def run(self, xs: list[Tensor], reverse: bool = False) -> list[Tensor]:
-        """Hidden states for a sequence of [1, input_dim] rows, in input order."""
-        h = Tensor(np.zeros((1, self.hidden)))
-        c = Tensor(np.zeros((1, self.hidden)))
-        order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
-        out: list[Tensor | None] = [None] * len(xs)
-        for t in order:
-            h, c = self.step(xs[t], h, c)
-            out[t] = h
-        return out  # type: ignore[return-value]
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # Stable in both tails: exp of a non-positive argument only.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class BiLstm:
     """Stacked bidirectional LSTM over a [n, d] feature matrix.
 
-    Each layer runs one forward and one backward cell and places their
-    [n, hidden] state matrices side by side, so the output is
-    [n, 2*hidden].  Inverted dropout (training only) sits between layers
-    and after the last one.
+    Each layer runs one forward and one backward cell over the whole
+    sequence (one tape op each) and places their [n, hidden] state
+    matrices side by side, so the output is [n, 2*hidden].  Inverted
+    dropout (training only) sits between layers and after the last one.
     """
 
     def __init__(self, input_dim: int, hidden: int, layers: int, dropout: float, rng: np.random.Generator):
@@ -143,13 +162,9 @@ class BiLstm:
             raise ShapeError(f"BiLstm expects [n, d], got {x.shape}")
         if training and self.dropout > 0 and rng is None:
             raise ValueError("training-mode dropout needs an rng")
-        n = x.shape[0]
         out = x
         for fwd, bwd in self.cells:
-            rows = [T.slice_rows(out, t, t + 1) for t in range(n)]
-            fwd_states = T.concat_rows(fwd.run(rows))
-            bwd_states = T.concat_rows(bwd.run(rows, reverse=True))
-            out = T.concat(fwd_states, bwd_states, axis=1)
+            out = T.concat(fwd.run(out), bwd.run(out, reverse=True), axis=1)
             if training and self.dropout > 0:
                 out = self._dropout(out, rng)
         return out

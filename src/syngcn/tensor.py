@@ -8,7 +8,7 @@ topological order and accumulates gradients into every reachable tensor
 that requires them.
 
 Only what the model needs is implemented: 1-D/2-D matmul-style algebra,
-a handful of pointwise functions, concatenation/slicing, and a
+add, mul and relu as the only pointwise ops, concatenation/slicing, and a
 numerically stable softmax cross-entropy.  Broadcasting is deliberately
 limited to scalar-vs-tensor and equal shapes.
 """
@@ -78,23 +78,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(other, mul(self, -1.0))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -114,7 +102,7 @@ def apply_op(parents: Sequence[Tensor], data: np.ndarray, backward_rule: Backwar
     """Wrap an operation result, recording the backward rule when needed.
 
     This is the extension hook used by every built-in op and by the
-    domain-specific ops in the layers module (pooling, batch norm).
+    domain-specific ops in the layers module (LSTM, pooling, batch norm).
     ``backward_rule`` receives the output gradient and must return one
     gradient array per parent, aligned with ``parents``; entries for
     parents that do not require grad are ignored (may be None).
@@ -186,28 +174,6 @@ def relu(a) -> Tensor:
         return (g * (a.data > 0),)
 
     return apply_op((a,), np.maximum(a.data, 0.0), rule)
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    # Stable in both tails: exp of a non-positive argument only.
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def rule(g):
-        return (g * out * (1.0 - out),)
-
-    return apply_op((a,), out, rule)
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-
-    def rule(g):
-        return (g * (1.0 - out * out),)
-
-    return apply_op((a,), out, rule)
 
 
 def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
@@ -369,7 +335,7 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     # Iterative DFS postorder: parents always precede their consumers.
-    # (Recursion would overflow on long LSTM chains.)
+    # (Recursion would overflow on long chains of small ops.)
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import reduce
 
 import numpy as np
@@ -59,6 +59,18 @@ ADJACENCY_MODES = ("syntax", "all_ones")
 DEFAULT_SEED = 42
 
 
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "false", "1", "0"):
+        raise ValueError(raw)
+    return raw.lower() in ("true", "1")
+
+
+# Per declared field type: the value types accepted (bool only for bool
+# fields) and the parser of a --set string.
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyper-parameters; the defaults are the published configuration."""
@@ -83,6 +95,12 @@ class TrainConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for field in fields(self):
+            value, kind = getattr(self, field.name), field.type
+            typed = isinstance(value, _FIELD_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
+            if not typed or (kind == "float" and not math.isfinite(value)):
+                wanted = "finite float" if kind == "float" else kind
+                raise ConfigError(f"{field.name} expects {wanted}, got {value!r}")
         if self.embedding_size < 1 or self.hidden_neurons < 1 or self.lstm_layers < 1:
             raise ConfigError("model dimensions must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -121,17 +139,11 @@ class TrainConfig:
         for key, raw in overrides.items():
             if key not in self.__dataclass_fields__:
                 raise ConfigError(f"unknown config field {key!r}")
-            current = getattr(self, key)
-            if isinstance(current, bool):
-                if raw.lower() not in ("true", "false", "1", "0"):
-                    raise ConfigError(f"{key} expects a boolean, got {raw!r}")
-                parsed[key] = raw.lower() in ("true", "1")
-            elif isinstance(current, int):
-                parsed[key] = int(raw)
-            elif isinstance(current, float):
-                parsed[key] = float(raw)
-            else:
-                parsed[key] = raw
+            kind = self.__dataclass_fields__[key].type
+            try:
+                parsed[key] = _PARSERS[kind](raw)
+            except ValueError:
+                raise ConfigError(f"{key} expects {kind}, got {raw!r}") from None
         return replace(self, **parsed)
 
 

@@ -77,6 +77,25 @@ class TestTrain:
         assert code == 1
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "options,field",
+        [
+            (["--config", "{tmp}/cfg.json"], "epochs"),
+            (["--set", "epochs=abc"], "epochs"),
+            (["--set", "dropout=0.5x"], "dropout"),
+        ],
+        ids=["config-file", "set-int", "set-float"],
+    )
+    def test_mistyped_config_value_fails_with_config_message(self, workspace, tmp_path, capsys, options, field):
+        (tmp_path / "cfg.json").write_text(json.dumps({"epochs": "3"}))
+        code = main(
+            ["train", "--train", str(workspace["corpus"]), "--checkpoint", str(tmp_path / "x.sgcn"),
+             *(option.format(tmp=tmp_path) for option in options)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config:" in err and field in err and "Traceback" not in err
+
     def test_missing_corpus_file_fails(self, tmp_path, capsys):
         code = main(
             ["train", "--train", str(tmp_path / "absent.jsonl"),

@@ -15,12 +15,14 @@ from syngcn.layers import (
     FcHead,
     GcnLayer,
     LstmCell,
+    _sigmoid,
     average_pool,
     orthogonal_init,
     percentile_pool,
 )
 from syngcn.tensor import ShapeError, Tensor, backward, mul, sum_all
 
+import reference_lstm
 from helpers import check_gradients, rand_tensor
 
 
@@ -50,6 +52,58 @@ class TestEmbedding:
         np.testing.assert_array_equal(grad[2], np.full(3, 3.0))
         np.testing.assert_array_equal(grad[4], np.full(3, 1.0))
         np.testing.assert_array_equal(grad[[0, 1, 3]], np.zeros((3, 3)))
+
+
+def _cell_outputs_and_grads(run, cell, x_data, cotangent):
+    """Output of run(x), then x.grad and the 12 per-gate gradients."""
+    x = Tensor(x_data, requires_grad=True)
+    for _, p in cell.parameters():
+        p.zero_grad()
+    out = run(x)
+    backward(sum_all(mul(out, Tensor(cotangent))))
+    return [out.data, x.grad] + [p.grad for _, p in cell.parameters()]
+
+
+class TestLstmCell:
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("n", [1, 2, 23, 41])
+    def test_run_matches_per_step_oracle(self, n, reverse):
+        rng = np.random.default_rng(1000 * n + reverse)
+        for _ in range(3):
+            d, hidden = (int(v) for v in rng.integers(1, 9, size=2))
+            cell = LstmCell(d, hidden, rng, name="cell")
+            for gate in LstmCell.GATES:
+                cell.bias[gate].data[...] = rng.normal(size=(1, hidden))
+            x = rng.normal(size=(n, d))
+            cot = rng.normal(size=(n, hidden))
+            fused = _cell_outputs_and_grads(lambda t: cell.run(t, reverse=reverse), cell, x, cot)
+            oracle = _cell_outputs_and_grads(lambda t: reference_lstm.run(cell, t, reverse), cell, x, cot)
+            assert len(fused) == 14
+            for got, want in zip(fused, oracle):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_run_is_one_tape_op(self):
+        rng = np.random.default_rng(3)
+        cell = LstmCell(4, 3, rng, name="cell")
+        x = rand_tensor(rng, (6, 4))
+        out = cell.run(x)
+        assert out.shape == (6, 3)
+        assert out._parents == (x, *(p for _, p in cell.parameters()))
+
+    def test_sigmoid_at_zero(self):
+        assert _sigmoid(np.array(0.0)) == 0.5
+
+    def test_saturating_inputs_stay_finite(self):
+        rng = np.random.default_rng(5)
+        cell = LstmCell(3, 4, rng, name="cell")
+        x = np.array([[1000.0, -1000.0, 500.0], [-1000.0, 1000.0, -500.0], [1000.0, 1000.0, 1000.0]])
+        for reverse in (False, True):
+            results = _cell_outputs_and_grads(
+                lambda t: cell.run(t, reverse=reverse), cell, x, rng.normal(size=(3, 4))
+            )
+            for arr in results:
+                assert np.all(np.isfinite(arr))
+        np.testing.assert_allclose(_sigmoid(np.array([-1000.0, 1000.0])), [0.0, 1.0], atol=1e-12)
 
 
 def tie_directions(bilstm):

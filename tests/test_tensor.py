@@ -20,16 +20,15 @@ from syngcn.tensor import (
     pad_rows,
     relu,
     reshape,
-    sigmoid,
     slice_rows,
     softmax,
     softmax_cross_entropy,
     sum_all,
-    tanh,
     transpose,
 )
 
 from helpers import check_gradients, finite_difference, max_rel_err, rand_tensor
+from reference_lstm import sigmoid, tanh
 
 
 class TestMatmul:
@@ -59,22 +58,6 @@ class TestMatmul:
 class TestElementwise:
     def test_relu_definition(self):
         np.testing.assert_allclose(relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
-
-    def test_sigmoid_at_zero(self):
-        assert sigmoid(Tensor(0.0)).item() == pytest.approx(0.5)
-
-    def test_sigmoid_tails_are_stable(self):
-        out = sigmoid(Tensor([-1000.0, 1000.0]))
-        assert np.all(np.isfinite(out.data))
-        np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
-
-    def test_tanh_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(11)
-        x = rand_tensor(rng, (6,), low=-2.0, high=2.0)
-        c = Tensor(rng.uniform(-1.0, 1.0, size=6))
-
-        err = check_gradients(lambda: sum_all(mul(tanh(x), c)), [x])
-        assert err < 1e-6
 
     def test_relu_backward_gates(self):
         x = Tensor([-2.0, 3.0, -0.5, 1.0], requires_grad=True)
@@ -272,6 +255,8 @@ def _op_cases():
         x = _safe_relu_input(rng, (4, 3))
         return with_cotangent(rng, (4, 3), lambda: relu(x), [x])
 
+    # sigmoid and tanh are the reference LSTM's own tape ops; the
+    # oracle for LstmCell.run is only as good as their gradients.
     def case_sigmoid(rng):
         x = rand_tensor(rng, (4, 3), low=-3.0, high=3.0)
         return with_cotangent(rng, (4, 3), lambda: sigmoid(x), [x])

@@ -91,6 +91,32 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig().with_overrides({"batch_norm": "maybe"})
 
+    @pytest.mark.parametrize(
+        "data,field",
+        [
+            ({"epochs": "3"}, "epochs"),
+            ({"dropout": None}, "dropout"),
+            ({"batch_norm": "no"}, "batch_norm"),
+            ({"epochs": True}, "epochs"),
+            ({"pooling": 3}, "pooling"),
+            ({"learning_rate": float("nan")}, "learning_rate"),
+            ({"lambda_orth": float("inf")}, "lambda_orth"),
+        ],
+    )
+    def test_mistyped_field_names_field(self, data, field):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig.from_dict(data)
+
+    def test_float_fields_take_ints(self):
+        assert TrainConfig.from_dict({"dropout": 0, "pooling_p": 100}).pooling_p == 100
+
+    @pytest.mark.parametrize(
+        "key,raw", [("epochs", "abc"), ("dropout", "0.5x"), ("seed", "1.5"), ("weight_decay", "nan")]
+    )
+    def test_unparsable_override_names_field(self, key, raw):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig().with_overrides({key: raw})
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"hidden_neurons": 12, "classes": 2}))
