@@ -161,7 +161,7 @@ def _cmd_inspect_graph(args) -> int:
     graph = build_graph(record, mode=args.mode or "syntax", max_len=args.max_len)
     print(f"record {args.index}: {len(record)} token(s), {len(record.sent_bounds)} sentence(s)")
     print("tokens:", " ".join(record.tokens))
-    print("adjacency (real-token block):")
+    print("adjacency:")
     print(_format_matrix(graph.adjacency))
     print("normalized adjacency:")
     print(_format_matrix(graph.normalized))

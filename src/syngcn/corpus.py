@@ -156,8 +156,8 @@ def load_corpus(
                 continue
             try:
                 raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from exc
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise CorpusError(f"{where}: invalid JSON ({exc})") from exc
             if not isinstance(raw, dict) or "tokens" not in raw or "heads" not in raw:
                 raise CorpusError(f"{where}: record needs tokens and heads fields")
             if not isinstance(raw["tokens"], list):

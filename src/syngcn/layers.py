@@ -40,8 +40,8 @@ class LstmCell:
 
     Gates: input (i), forget (f), output (o), candidate (g).  The forget
     bias starts at 1 so early training does not flush the cell state.
-    ``run`` is one tape op for a whole sequence: the gate blocks sit side
-    by side, the input projection covers all time steps at once, and the
+    ``run`` is one tape op for a packed batch of sequences: the gate blocks
+    sit side by side, one input projection covers every row, and the
     backward rule is hand-written backpropagation through time.
     """
 
@@ -70,44 +70,59 @@ class LstmCell:
             yield self.w_x[gate]
             yield self.w_h[gate]
 
-    def run(self, x: Tensor, reverse: bool = False) -> Tensor:
-        """Hidden states [n, hidden] for the rows of x [n, input_dim], in row order."""
+    def run(self, x: Tensor, reverse: bool = False, lengths=None) -> Tensor:
+        """Hidden states [n, hidden] for the rows of x [n, input_dim], in row order.
+
+        ``lengths`` splits the rows into consecutive sequences (default: one),
+        each run from a zero state, back to front if ``reverse``.
+        """
         hid, n = self.hidden, x.shape[0]
+        lengths = [n] if lengths is None else list(lengths)
+        if any(k < 1 for k in lengths) or sum(lengths) != n:
+            raise ShapeError(f"sequence lengths {lengths} do not split {x.shape} into non-empty parts")
         params = [p for _, p in self.parameters()]  # (w_x, w_h, bias) per gate
         # The rule stacks the per-gate arrays again: a stacked copy held by
-        # every tape op would pin weight-sized arrays per record.
+        # every tape op would pin weight-sized arrays per batch.
         w_x, w_h = [p.data for p in params[0::3]], [p.data for p in params[1::3]]
+        # Reversing all rows reverses the order of the sequences and each
+        # sequence in place, so the reverse pass is a forward pass.
         xs = x.data[::-1] if reverse else x.data
+        bounds = np.cumsum([0, *(lengths[::-1] if reverse else lengths)]).tolist()
         z_x = xs @ np.hstack(w_x) + np.hstack([p.data for p in params[2::3]])
         w_h_all = np.hstack(w_h)
         acts = np.empty((n, 4 * hid))  # sigmoid(i, f, o) and tanh(g) per step
-        hs, cs = np.zeros((n + 1, hid)), np.zeros((n + 1, hid))  # row t: state before step t
-        for t in range(n):
-            z = z_x[t] + hs[t] @ w_h_all
-            acts[t] = np.concatenate([_sigmoid(z[: 3 * hid]), np.tanh(z[3 * hid :])])
-            i, f, o, g = np.split(acts[t], 4)
-            cs[t + 1] = f * cs[t] + i * g
-            hs[t + 1] = o * np.tanh(cs[t + 1])
+        hs, cs = np.empty((n, hid)), np.empty((n, hid))  # row t: state after step t
+        for start, stop in zip(bounds, bounds[1:]):
+            h = c = np.zeros(hid)
+            for t in range(start, stop):
+                z = z_x[t] + h @ w_h_all
+                acts[t] = np.concatenate([_sigmoid(z[: 3 * hid]), np.tanh(z[3 * hid :])])
+                i, f, o, g = np.split(acts[t], 4)
+                c = cs[t] = f * c + i * g
+                h = hs[t] = o * np.tanh(c)
 
         def rule(grad):
             grad = grad[::-1] if reverse else grad
-            w_h_t, tanh_c = np.hstack(w_h).T, np.tanh(cs[1:])
+            w_h_t, tanh_c = np.hstack(w_h).T, np.tanh(cs)
+            # States before each step: the previous row's, zero where a sequence starts.
+            h_prev, c_prev = np.roll(hs, 1, axis=0), np.roll(cs, 1, axis=0)
+            h_prev[bounds[:-1]] = c_prev[bounds[:-1]] = 0.0
             i, f, o, g = np.split(acts, 4, axis=1)
             # Rows start as d(activation)/d(pre-activation) of each gate.
             dz = np.hstack([acts[:, : 3 * hid] * (1.0 - acts[:, : 3 * hid]), 1.0 - g * g])
-            dh_next = dc_next = np.zeros(hid)
-            for t in range(n - 1, -1, -1):
-                dh = grad[t] + dh_next
-                dc = dh * o[t] * (1.0 - tanh_c[t] ** 2) + dc_next
-                dz[t] *= np.concatenate([dc * g[t], dc * cs[t], dh * tanh_c[t], dc * i[t]])
-                dh_next, dc_next = dz[t] @ w_h_t, dc * f[t]
+            for start, stop in zip(bounds, bounds[1:]):
+                dh_next = dc_next = np.zeros(hid)
+                for t in range(stop - 1, start - 1, -1):
+                    dh = grad[t] + dh_next
+                    dc = dh * o[t] * (1.0 - tanh_c[t] ** 2) + dc_next
+                    dz[t] *= np.concatenate([dc * g[t], dc * c_prev[t], dh * tanh_c[t], dc * i[t]])
+                    dh_next, dc_next = dz[t] @ w_h_t, dc * f[t]
             dx = dz @ np.hstack(w_x).T
-            dw_x, dw_h, db = xs.T @ dz, hs[:n].T @ dz, dz.sum(axis=0, keepdims=True)
+            dw_x, dw_h, db = xs.T @ dz, h_prev.T @ dz, dz.sum(axis=0, keepdims=True)
             per_gate = [d[:, k * hid : (k + 1) * hid] for k in range(4) for d in (dw_x, dw_h, db)]
             return (dx[::-1] if reverse else dx, *per_gate)
 
-        out = hs[1:][::-1] if reverse else hs[1:]
-        return T.apply_op((x, *params), out.copy(), rule)
+        return T.apply_op((x, *params), (hs[::-1] if reverse else hs).copy(), rule)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -117,12 +132,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class BiLstm:
-    """Stacked bidirectional LSTM over a [n, d] feature matrix.
+    """Stacked bidirectional LSTM over consecutive sequences packed in [n, d].
 
-    Each layer runs one forward and one backward cell over the whole
-    sequence (one tape op each) and places their [n, hidden] state
-    matrices side by side, so the output is [n, 2*hidden].  Inverted
-    dropout (training only) sits between layers and after the last one.
+    Each layer runs one forward and one backward cell over all sequences
+    (one tape op each) and places their [n, hidden] state matrices side by
+    side, so the output is [n, 2*hidden].  Inverted dropout (training only)
+    follows every layer; its masks are drawn sequence by sequence, then layer
+    by layer, as if each sequence ran on its own.
     """
 
     def __init__(self, input_dim: int, hidden: int, layers: int, dropout: float, rng: np.random.Generator):
@@ -152,21 +168,21 @@ class BiLstm:
             yield from fwd.weight_matrices()
             yield from bwd.weight_matrices()
 
-    def _dropout(self, x: Tensor, rng: np.random.Generator) -> Tensor:
-        keep = 1.0 - self.dropout
-        mask = rng.random(x.shape) < keep
-        return x * Tensor(mask.astype(np.float64) / keep)
-
-    def __call__(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    def __call__(
+        self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None, lengths=None
+    ) -> Tensor:
         if x.data.ndim != 2:
             raise ShapeError(f"BiLstm expects [n, d], got {x.shape}")
         if training and self.dropout > 0 and rng is None:
             raise ValueError("training-mode dropout needs an rng")
+        lengths = [x.shape[0]] if lengths is None else lengths
+        keep = 1.0 - self.dropout if training else 1.0
+        draws = [[rng.random((k, self.output_dim)) < keep for _ in self.cells] for k in lengths if keep < 1]
         out = x
-        for fwd, bwd in self.cells:
-            out = T.concat(fwd.run(out), bwd.run(out, reverse=True), axis=1)
-            if training and self.dropout > 0:
-                out = self._dropout(out, rng)
+        for layer, (fwd, bwd) in enumerate(self.cells):
+            out = T.concat(fwd.run(out, lengths=lengths), bwd.run(out, reverse=True, lengths=lengths), axis=1)
+            if draws:
+                out = out * Tensor(np.concatenate([d[layer] for d in draws]) / keep)
         return out
 
 
@@ -310,8 +326,9 @@ class FcHead:
     def __call__(self, z: Tensor) -> Tensor:
         if z.shape[0] > self.max_len:
             raise ShapeError(f"{z.shape[0]} rows exceed fc head capacity {self.max_len}")
-        flat = T.reshape(T.pad_rows(z, self.max_len), (1, self.weight.shape[0]))
-        return T.reshape(flat @ self.weight, (self.weight.shape[1],)) + self.bias
+        # Flattened z meets the first z.size weight rows; padding rows would add zeros.
+        flat = T.reshape(z, (1, z.size)) @ T.slice_rows(self.weight, 0, z.size)
+        return T.reshape(flat, (self.weight.shape[1],)) + self.bias
 
 
 def orthogonal_init(rows: int, cols: int, rng: np.random.Generator, max_tries: int = 3) -> np.ndarray:

@@ -7,10 +7,11 @@ graph per pass; nothing is retained between passes).  Calling
 topological order and accumulates gradients into every reachable tensor
 that requires them.
 
-Only what the model needs is implemented: 1-D/2-D matmul-style algebra,
-add, mul and relu as the only pointwise ops, concatenation/slicing, and a
-numerically stable softmax cross-entropy.  Broadcasting is deliberately
-limited to scalar-vs-tensor and equal shapes.
+Only generic ops live here: 2-D matmul, add, mul, relu, concatenation,
+row slicing and gathering, reshape, sum, and a stable softmax
+cross-entropy.  Broadcasting is limited to scalar-vs-tensor and equal
+shapes.  The packed Bi-LSTM, batch norm, pooling and the orthogonality
+penalty are single ops with hand-written rules, built on ``apply_op``.
 """
 
 from __future__ import annotations
@@ -80,9 +81,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -228,21 +226,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return apply_op((a,), a.data[start:stop].copy(), rule)
 
 
-def pad_rows(a: Tensor, total_rows: int) -> Tensor:
-    """Append zero rows to a 2-D tensor up to ``total_rows``."""
-    a = _as_tensor(a)
-    n = a.shape[0]
-    if a.data.ndim != 2 or total_rows < n:
-        raise ShapeError(f"pad_rows to {total_rows} invalid for shape {a.shape}")
-    out = np.zeros((total_rows, a.shape[1]), dtype=np.float64)
-    out[:n] = a.data
-
-    def rule(g):
-        return (g[:n].copy(),)
-
-    return apply_op((a,), out, rule)
-
-
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Select rows of a 2-D table; gradients scatter-add back per row."""
     table = _as_tensor(table)
@@ -258,17 +241,6 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         return (gt,)
 
     return apply_op((table,), table.data[idx], rule)
-
-
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-
-    def rule(g):
-        return (g.T,)
-
-    return apply_op((a,), a.data.T.copy(), rule)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -152,8 +152,8 @@ def load_config(path) -> TrainConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return TrainConfig.from_dict(data)
@@ -213,25 +213,20 @@ class Model:
     ) -> list[Tensor]:
         """Logit vectors for a batch of (token_ids, normalized_adjacency).
 
-        Records run through the Bi-LSTM one at a time (each carries its
-        own graph), but batch norm sees the whole batch at once so its
-        statistics cover every token position in the batch.
+        The batch's tokens go through the embedding, the Bi-LSTM and batch
+        norm as one packed [N, d] matrix, so batch norm's statistics cover
+        every token in the batch; each record's rows then meet its own
+        graph in the GCN and are pooled.
         """
-        features = []
-        for token_ids, _ in encoded:
-            x = self.embedding(token_ids)
-            features.append(self.bilstm(x, training=training, rng=rng))
+        lengths = [len(token_ids) for token_ids, _ in encoded]
+        x = self.embedding(np.concatenate([token_ids for token_ids, _ in encoded]))
+        features = self.bilstm(x, training=training, rng=rng, lengths=lengths)
         if self.batch_norm is not None:
-            stacked = T.concat_rows(features) if len(features) > 1 else features[0]
-            normed = self.batch_norm(stacked, training=training)
-            offsets = np.cumsum([0] + [f.shape[0] for f in features])
-            features = [
-                T.slice_rows(normed, offsets[i], offsets[i + 1]) for i in range(len(features))
-            ]
-        logits = []
-        for feat, (_, adj) in zip(features, encoded):
-            z = self.gcn(feat, adj)
-            logits.append(self._pool(z))
+            features = self.batch_norm(features, training=training)
+        logits, start = [], 0
+        for n, (_, adj) in zip(lengths, encoded):
+            logits.append(self._pool(self.gcn(T.slice_rows(features, start, start + n), adj)))
+            start += n
         return logits
 
     def encode(self, record: Record) -> tuple[np.ndarray, np.ndarray]:
@@ -278,14 +273,19 @@ class Model:
 
 
 def orthogonality_penalty(weight: Tensor) -> Tensor:
-    """||gram(W) - I||_F^2 with the gram taken on the smaller side."""
-    rows, cols = weight.shape
-    if rows >= cols:
-        gram = T.transpose(weight) @ weight
-    else:
-        gram = weight @ T.transpose(weight)
-    diff = gram - Tensor(np.eye(min(rows, cols)))
-    return (diff * diff).sum()
+    """||gram(W) - I||_F^2 with the gram taken on the smaller side, as one tape op.
+
+    With D = gram - I (symmetric), the gradient is 4 W D for a tall W
+    and 4 D W for a wide one.
+    """
+    w = weight.data  # Adam rebinds weight.data, so the rule's reference stays valid
+    tall = w.shape[0] >= w.shape[1]
+    diff = (w.T @ w if tall else w @ w.T) - np.eye(min(w.shape))
+
+    def rule(g):
+        return (4.0 * g * (w @ diff if tall else diff @ w),)
+
+    return T.apply_op((weight,), np.asarray((diff * diff).sum()), rule)
 
 
 def total_loss(
@@ -525,7 +525,7 @@ def load_checkpoint(path) -> Model:
                                       f"a shape of non-negative integers, got {list(shape)}")
     except KeyError as exc:
         raise CheckpointError(f"{path} has a corrupt header: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
 
     payload = blob[prefix + header_len :]

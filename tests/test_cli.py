@@ -13,6 +13,9 @@ from syngcn.corpus import save_corpus
 from syngcn.synthetic import class_word_corpus
 from syngcn.training import load_checkpoint, load_history
 
+# 100 000 nested arrays: more than the JSON decoder's recursion limit allows.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 TINY = [
     "--set", "embedding_size=6",
     "--set", "hidden_neurons=5",
@@ -96,6 +99,16 @@ class TestTrain:
         assert code == 1
         assert "config:" in err and field in err and "Traceback" not in err
 
+    def test_deeply_nested_config_fails_with_config_message(self, workspace, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(DEEP_JSON)
+        code = main(
+            ["train", "--train", str(workspace["corpus"]), "--checkpoint", str(tmp_path / "x.sgcn"),
+             "--config", str(tmp_path / "cfg.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config:" in err and "cfg.json" in err and "Traceback" not in err
+
     def test_missing_corpus_file_fails(self, tmp_path, capsys):
         code = main(
             ["train", "--train", str(tmp_path / "absent.jsonl"),
@@ -148,6 +161,17 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert "checkpoint:" in err and "shape" in err and "Traceback" not in err
+
+    def test_deeply_nested_header_fails_cleanly(self, workspace, tmp_path, capsys):
+        import struct
+
+        raw = DEEP_JSON.encode("utf-8")
+        bad = tmp_path / "deep.sgcn"
+        bad.write_bytes(b"SGCN" + struct.pack("<IQ", 1, len(raw)) + raw)
+        code = main(["predict", "--checkpoint", str(bad), "--test", str(workspace["corpus"])])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "checkpoint:" in err and "deep.sgcn" in err and "Traceback" not in err
 
 
 class TestPredict:
@@ -233,6 +257,13 @@ class TestInspectGraph:
         assert main(["inspect-graph", "--corpus", str(corpus)]) == 1
         err = capsys.readouterr().err
         assert "corpus:" in err and "line 1: heads" in err and "Traceback" not in err
+
+    def test_deeply_nested_corpus_line_fails_cleanly(self, tmp_path, capsys):
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_text(json.dumps({"tokens": ["a"], "heads": [0]}) + "\n" + DEEP_JSON + "\n")
+        assert main(["inspect-graph", "--corpus", str(corpus)]) == 1
+        err = capsys.readouterr().err
+        assert "corpus:" in err and "line 2" in err and "Traceback" not in err
 
     def test_bad_index(self, tmp_path, capsys):
         corpus = tmp_path / "one.jsonl"

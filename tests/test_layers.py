@@ -82,6 +82,38 @@ class TestLstmCell:
             for got, want in zip(fused, oracle):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_packed_run_matches_separate_runs(self, reverse):
+        rng = np.random.default_rng(7 + reverse)
+        for _ in range(6):
+            d, hidden = (int(v) for v in rng.integers(1, 7, size=2))
+            cell = LstmCell(d, hidden, rng, name="cell")
+            for gate in LstmCell.GATES:
+                cell.bias[gate].data[...] = rng.normal(size=(1, hidden))
+            lengths = [1, *rng.integers(1, 9, size=int(rng.integers(1, 5))).tolist()]
+            rng.shuffle(lengths)
+            bounds = np.cumsum([0, *lengths])
+            x = rng.normal(size=(bounds[-1], d))
+            cot = rng.normal(size=(bounds[-1], hidden))
+
+            def separate(t):
+                parts = [T.slice_rows(t, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+                return T.concat_rows([cell.run(part, reverse=reverse) for part in parts])
+
+            packed = _cell_outputs_and_grads(
+                lambda t: cell.run(t, reverse=reverse, lengths=lengths), cell, x, cot
+            )
+            oracle = _cell_outputs_and_grads(separate, cell, x, cot)
+            assert len(packed) == 14
+            for got, want in zip(packed, oracle):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[3, 0, 2], [6, -1], [2, 2], [4, 2], []])
+    def test_bad_lengths_rejected(self, lengths):
+        cell = LstmCell(2, 3, np.random.default_rng(9), name="cell")
+        with pytest.raises(ShapeError):
+            cell.run(Tensor(np.ones((5, 2))), lengths=lengths)
+
     def test_run_is_one_tape_op(self):
         rng = np.random.default_rng(3)
         cell = LstmCell(4, 3, rng, name="cell")
@@ -161,6 +193,29 @@ class TestBiLstm:
         assert not np.allclose(dropped, clean)
         again = net(x, training=True, rng=np.random.default_rng(99)).data
         np.testing.assert_array_equal(dropped, again)
+
+    def test_packed_training_matches_per_sequence_calls(self):
+        rng = np.random.default_rng(23)
+        net = BiLstm(input_dim=3, hidden=4, layers=2, dropout=0.5, rng=rng)
+        lengths = [3, 1, 5, 2]
+        bounds = np.cumsum([0, *lengths])
+        x_data, cot = rng.normal(size=(11, 3)), Tensor(rng.normal(size=(11, 8)))
+        results = []
+        for packed in (True, False):
+            x, drop_rng = Tensor(x_data, requires_grad=True), np.random.default_rng(99)
+            for _, p in net.parameters():
+                p.zero_grad()
+            if packed:
+                out = net(x, training=True, rng=drop_rng, lengths=lengths)
+            else:
+                out = T.concat_rows([
+                    net(T.slice_rows(x, a, b), training=True, rng=drop_rng)
+                    for a, b in zip(bounds[:-1], bounds[1:])
+                ])
+            backward(sum_all(mul(out, cot)))
+            results.append([out.data, x.grad] + [p.grad for _, p in net.parameters()])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(19)

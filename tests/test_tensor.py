@@ -17,14 +17,12 @@ from syngcn.tensor import (
     gather_rows,
     matmul,
     mul,
-    pad_rows,
     relu,
     reshape,
     slice_rows,
     softmax,
     softmax_cross_entropy,
     sum_all,
-    transpose,
 )
 
 from helpers import check_gradients, finite_difference, max_rel_err, rand_tensor
@@ -281,18 +279,10 @@ def _op_cases():
         a = rand_tensor(rng, (6, 3))
         return with_cotangent(rng, (3, 3), lambda: slice_rows(a, 1, 4), [a])
 
-    def case_pad_rows(rng):
-        a = rand_tensor(rng, (3, 4))
-        return with_cotangent(rng, (6, 4), lambda: pad_rows(a, 6), [a])
-
     def case_gather_rows(rng):
         table = rand_tensor(rng, (5, 3))
         idx = rng.integers(0, 5, size=7)  # repeats exercise scatter-add
         return with_cotangent(rng, (7, 3), lambda: gather_rows(table, idx), [table])
-
-    def case_transpose(rng):
-        a = rand_tensor(rng, (3, 5))
-        return with_cotangent(rng, (5, 3), lambda: transpose(a), [a])
 
     def case_reshape(rng):
         a = rand_tensor(rng, (3, 4))
@@ -316,9 +306,7 @@ def _op_cases():
         ("concat_axis1", 1e-4, case_concat_axis1),
         ("concat_rows", 1e-4, case_concat_rows),
         ("slice_rows", 1e-4, case_slice_rows),
-        ("pad_rows", 1e-4, case_pad_rows),
         ("gather_rows", 1e-4, case_gather_rows),
-        ("transpose", 1e-4, case_transpose),
         ("reshape", 1e-4, case_reshape),
         ("softmax_cross_entropy", 1e-5, case_cross_entropy),
     ]

@@ -206,11 +206,12 @@ class TestTotalLoss:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(37)
         logits, labels = self._batch(rng)
-        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        err = check_gradients(
-            lambda: total_loss(logits, labels, [w], 0.7, 0.3), [w] + logits
-        )
-        assert err < 1e-5
+        for shape in ((4, 3), (3, 5)):  # gram on the column side, then the row side
+            w = Tensor(rng.normal(size=shape), requires_grad=True)
+            err = check_gradients(
+                lambda: total_loss(logits, labels, [w], 0.7, 0.3), [w] + logits
+            )
+            assert err < 1e-5
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -357,6 +358,36 @@ class TestModelForward:
         labels_b, probs_b = model.predict(train_recs[:4])
         assert labels_a == labels_b
         np.testing.assert_array_equal(probs_a, probs_b)
+
+    def test_batch_logits_equal_each_records_own(self, tiny_corpus):
+        train_recs, _ = tiny_corpus
+        from syngcn.corpus import build_vocab
+
+        config = tiny_config(lstm_layers=2)
+        model = Model(config, build_vocab(train_recs), np.random.default_rng(config.seed))
+        rng = np.random.default_rng(4)
+        model.batch_norm.load_state(rng.normal(size=10), rng.uniform(0.5, 2.0, size=10))
+        encoded = [model.encode(rec) for rec in train_recs]
+        batch = model.forward_batch(encoded)
+        for logits, enc in zip(batch, encoded):
+            np.testing.assert_allclose(logits.data, model.forward_batch([enc])[0].data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+    def test_lstm_runs_once_per_cell_per_batch(self, tiny_corpus, monkeypatch, training):
+        train_recs, _ = tiny_corpus
+        from syngcn import layers
+        from syngcn.corpus import build_vocab
+
+        config = tiny_config(lstm_layers=2, dropout=0.5)
+        model = Model(config, build_vocab(train_recs), np.random.default_rng(config.seed))
+        calls = []
+        original = layers.LstmCell.run
+        monkeypatch.setattr(layers.LstmCell, "run", lambda cell, *a, **k: calls.append(1) or original(cell, *a, **k))
+        for size in (1, 3, 8):
+            calls.clear()
+            batch = [model.encode(rec) for rec in train_recs[:size]]
+            assert len(model.forward_batch(batch, training, np.random.default_rng(0))) == size
+            assert len(calls) == 4
 
     def test_probabilities_normalized(self, tiny_corpus):
         train_recs, _ = tiny_corpus
