@@ -4,6 +4,9 @@ All layers hold their parameters as autograd tensors and expose a
 ``parameters()`` iterator of (name, tensor) pairs so the trainer and
 checkpoint code can address them uniformly.  Forward passes build fresh
 computation graphs; nothing here mutates parameters.
+
+A batch is one [N, d] matrix of its records' rows, record after record;
+``lengths`` [n_1, ..., n_B] counts each record's rows (None: one record).
 """
 
 from __future__ import annotations
@@ -77,9 +80,7 @@ class LstmCell:
         each run from a zero state, back to front if ``reverse``.
         """
         hid, n = self.hidden, x.shape[0]
-        lengths = [n] if lengths is None else list(lengths)
-        if any(k < 1 for k in lengths) or sum(lengths) != n:
-            raise ShapeError(f"sequence lengths {lengths} do not split {x.shape} into non-empty parts")
+        bounds = _segment_bounds(x, lengths)
         params = [p for _, p in self.parameters()]  # (w_x, w_h, bias) per gate
         # The rule stacks the per-gate arrays again: a stacked copy held by
         # every tape op would pin weight-sized arrays per batch.
@@ -87,7 +88,7 @@ class LstmCell:
         # Reversing all rows reverses the order of the sequences and each
         # sequence in place, so the reverse pass is a forward pass.
         xs = x.data[::-1] if reverse else x.data
-        bounds = np.cumsum([0, *(lengths[::-1] if reverse else lengths)]).tolist()
+        bounds = [n - b for b in reversed(bounds)] if reverse else bounds
         z_x = xs @ np.hstack(w_x) + np.hstack([p.data for p in params[2::3]])
         w_h_all = np.hstack(w_h)
         acts = np.empty((n, 4 * hid))  # sigmoid(i, f, o) and tanh(g) per step
@@ -123,6 +124,15 @@ class LstmCell:
             return (dx[::-1] if reverse else dx, *per_gate)
 
         return T.apply_op((x, *params), (hs[::-1] if reverse else hs).copy(), rule)
+
+
+def _segment_bounds(x: Tensor, lengths=None) -> list[int]:
+    """Row offsets [0, n_1, n_1 + n_2, ..., N] of the records packed in x [N, d]."""
+    n = x.shape[0] if x.data.ndim == 2 else -1
+    lengths = [n] if lengths is None else list(lengths)
+    if not lengths or any(k < 1 for k in lengths) or sum(lengths) != n:
+        raise ShapeError(f"lengths {lengths} do not split the rows of {x.shape} into non-empty records")
+    return np.cumsum([0, *lengths]).tolist()
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -180,7 +190,7 @@ class BiLstm:
         draws = [[rng.random((k, self.output_dim)) < keep for _ in self.cells] for k in lengths if keep < 1]
         out = x
         for layer, (fwd, bwd) in enumerate(self.cells):
-            out = T.concat(fwd.run(out, lengths=lengths), bwd.run(out, reverse=True, lengths=lengths), axis=1)
+            out = T.concat([fwd.run(out, lengths=lengths), bwd.run(out, reverse=True, lengths=lengths)], axis=1)
             if draws:
                 out = out * Tensor(np.concatenate([d[layer] for d in draws]) / keep)
         return out
@@ -260,55 +270,63 @@ class GcnLayer:
     def parameters(self):
         yield "gcn.weight", self.weight
 
-    def __call__(self, features: Tensor, adj_norm: np.ndarray) -> Tensor:
-        adj_norm = np.asarray(adj_norm, dtype=np.float64)
-        n = features.shape[0]
-        if adj_norm.shape != (n, n):
-            raise ShapeError(f"adjacency {adj_norm.shape} does not match {n} feature rows")
-        if features.shape[1] != self.weight.shape[0]:
-            raise ShapeError(f"features {features.shape} vs weight {self.weight.shape}")
-        mixed = T.matmul(Tensor(adj_norm), features)
-        return T.relu(mixed @ self.weight)
+    def __call__(self, features: Tensor, *adjs: np.ndarray) -> Tensor:
+        """Class scores [N, C]: one op for every record's A_b @ F_b, then one @ W and one ReLU."""
+        adjs = [np.asarray(a, dtype=np.float64) for a in adjs]
+        if any(a.ndim != 2 or a.shape[0] != a.shape[1] for a in adjs):
+            raise ShapeError(f"adjacencies {[a.shape for a in adjs]} are not all square")
+        bounds = _segment_bounds(features, [a.shape[0] for a in adjs])
+        blocks = list(zip(adjs, bounds, bounds[1:]))
+
+        def rule(g):
+            return (np.concatenate([a.T @ g[start:stop] for a, start, stop in blocks]),)
+
+        mixed = np.concatenate([a @ features.data[start:stop] for a, start, stop in blocks])
+        return T.relu(T.apply_op((features,), mixed, rule) @ self.weight)
 
 
-def percentile_pool(z: Tensor, p: float) -> Tensor:
-    """Nearest-rank percentile of each column of z (ascending order).
+def _per_record(parents, lengths, out: np.ndarray, rule) -> Tensor:
+    # A pooling op over [B, C] results: [C] when lengths is None; the rule always gets [B, C].
+    return T.apply_op(parents, out if lengths is not None else out[0], lambda g: rule(g.reshape(out.shape)))
 
-    The selected 1-based rank is ceil(p/100 * n), clamped to 1 for p=0,
-    so p=100 is max pooling and p=50 the median for odd n.  The gradient
-    of each pooled value flows to the selected element's original row;
-    among equal values the lowest row index wins.
+
+def percentile_pool(z: Tensor, p: float, lengths=None) -> Tensor:
+    """Nearest-rank percentile of each column of each record's rows of z [N, C]: [B, C], or [C].
+
+    The 1-based rank is ceil(p/100 * n_b), at least 1: p=100 is max pooling, p=50 the
+    median for odd n_b.  Each pooled value's gradient flows to the selected element's
+    row, the lowest-index one among equal values.
     """
     if not 0 <= p <= 100:
         raise ValueError(f"percentile p={p} outside [0, 100]")
-    if z.data.ndim != 2 or z.shape[0] < 1:
-        raise ShapeError(f"percentile_pool needs a non-empty [n, C] tensor, got {z.shape}")
-    n, c = z.shape
-    # Multiply before dividing: p*n is exact in float64 for the supported
-    # range, so integer-valued ranks never round up spuriously.
-    rank = max(1, math.ceil(p * n / 100.0))
-    sorted_cols = np.sort(z.data, axis=0)
-    values = sorted_cols[rank - 1]
-    selected = np.argmax(z.data == values[None, :], axis=0)
+    bounds = _segment_bounds(z, lengths)
+    values = np.empty((len(bounds) - 1, z.shape[1]))
+    selected = np.empty(values.shape, dtype=np.intp)
+    for b, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        # Multiply before dividing: p*n is exact in float64 for the supported
+        # range, so integer-valued ranks never round up spuriously.
+        rank = max(1, math.ceil(p * (stop - start) / 100.0))
+        rows = z.data[start:stop]
+        values[b] = np.sort(rows, axis=0)[rank - 1]
+        selected[b] = start + np.argmax(rows == values[b], axis=0)
 
     def rule(g):
         gz = np.zeros_like(z.data)
-        gz[selected, np.arange(c)] = g
+        gz[selected, np.arange(z.shape[1])] = g
         return (gz,)
 
-    return T.apply_op((z,), values.copy(), rule)
+    return _per_record((z,), lengths, values, rule)
 
 
-def average_pool(z: Tensor) -> Tensor:
-    """Column means; the gradient spreads 1/n to every row."""
-    if z.data.ndim != 2 or z.shape[0] < 1:
-        raise ShapeError(f"average_pool needs a non-empty [n, C] tensor, got {z.shape}")
-    n = z.shape[0]
+def average_pool(z: Tensor, lengths=None) -> Tensor:
+    """Column means of each record's rows of z [N, C]: [B, C], or [C]; gradient 1/n_b per row."""
+    bounds = _segment_bounds(z, lengths)
+    sizes = np.diff(bounds)[:, None]
 
     def rule(g):
-        return (np.repeat(g[None, :] / n, n, axis=0),)
+        return (np.repeat(g / sizes, sizes[:, 0], axis=0),)
 
-    return T.apply_op((z,), z.data.mean(axis=0), rule)
+    return _per_record((z,), lengths, np.add.reduceat(z.data, bounds[:-1]) / sizes, rule)
 
 
 class FcHead:
@@ -323,12 +341,21 @@ class FcHead:
         yield "fc_head.weight", self.weight
         yield "fc_head.bias", self.bias
 
-    def __call__(self, z: Tensor) -> Tensor:
-        if z.shape[0] > self.max_len:
-            raise ShapeError(f"{z.shape[0]} rows exceed fc head capacity {self.max_len}")
-        # Flattened z meets the first z.size weight rows; padding rows would add zeros.
-        flat = T.reshape(z, (1, z.size)) @ T.slice_rows(self.weight, 0, z.size)
-        return T.reshape(flat, (self.weight.shape[1],)) + self.bias
+    def __call__(self, z: Tensor, lengths=None) -> Tensor:
+        """Logits per record of z [N, C]: [B, C], or [C]."""
+        sizes = np.diff(_segment_bounds(z, lengths))
+        if sizes.max() > self.max_len:
+            raise ShapeError(f"{sizes.max()} rows exceed fc head capacity {self.max_len}")
+        w = self.weight.data
+        # Row b holds record b's n_b * C entries, then zeros up to max_len * C.
+        padded = np.arange(w.shape[0]) < sizes[:, None] * z.shape[1]
+        flat = np.zeros(padded.shape)
+        flat[padded] = z.data.reshape(-1)
+
+        def rule(g):
+            return (g @ w.T)[padded].reshape(z.shape), flat.T @ g, g.sum(axis=0)
+
+        return _per_record((z, self.weight, self.bias), lengths, flat @ w + self.bias.data, rule)
 
 
 def orthogonal_init(rows: int, cols: int, rng: np.random.Generator, max_tries: int = 3) -> np.ndarray:

@@ -8,10 +8,10 @@ topological order and accumulates gradients into every reachable tensor
 that requires them.
 
 Only generic ops live here: 2-D matmul, add, mul, relu, concatenation,
-row slicing and gathering, reshape, sum, and a stable softmax
-cross-entropy.  Broadcasting is limited to scalar-vs-tensor and equal
-shapes.  The packed Bi-LSTM, batch norm, pooling and the orthogonality
-penalty are single ops with hand-written rules, built on ``apply_op``.
+row slicing and gathering, sum, and a stable softmax cross-entropy.
+Broadcasting is limited to scalar-vs-tensor and equal shapes.  The
+packed Bi-LSTM, batch norm, graph convolution, pooling and the penalties
+are single ops with hand-written rules, built on ``apply_op``.
 """
 
 from __future__ import annotations
@@ -174,42 +174,24 @@ def relu(a) -> Tensor:
     return apply_op((a,), np.maximum(a.data, 0.0), rule)
 
 
-def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
-    """Concatenate two tensors along ``axis``; other dims must agree."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != b.data.ndim:
-        raise ShapeError(f"concat requires equal ranks, got {a.shape} and {b.shape}")
-    if not 0 <= axis < a.data.ndim:
-        raise ShapeError(f"concat axis {axis} out of range for shape {a.shape}")
-    for d in range(a.data.ndim):
-        if d != axis and a.shape[d] != b.shape[d]:
-            raise ShapeError(f"concat shapes {a.shape} and {b.shape} differ off axis {axis}")
-    split = a.shape[axis]
+def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join tensors along ``axis`` (n-ary); every other dim must agree."""
+    tensors = [_as_tensor(t) for t in tensors]
+    try:
+        data = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:  # also numpy's AxisError
+        raise ShapeError(f"cannot concat shapes {[t.shape for t in tensors]} on axis {axis}: {exc}") from None
+    offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def rule(g):
-        ga = np.take(g, range(split), axis=axis)
-        gb = np.take(g, range(split, g.shape[axis]), axis=axis)
-        return ga, gb
+        return tuple(np.split(g, offsets, axis=axis))
 
-    return apply_op((a, b), np.concatenate([a.data, b.data], axis=axis), rule)
+    return apply_op(tuple(tensors), data, rule)
 
 
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 2-D tensors with equal column counts along axis 0 (n-ary)."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat_rows needs at least one tensor")
-    cols = tensors[0].shape[-1]
-    for t in tensors:
-        if t.data.ndim != 2 or t.shape[1] != cols:
-            raise ShapeError(f"concat_rows needs [*, {cols}] blocks, got {t.shape}")
-    sizes = [t.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def rule(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(tensors)))
-
-    return apply_op(tuple(tensors), np.concatenate([t.data for t in tensors], axis=0), rule)
+    """Stack tensors along axis 0."""
+    return concat(tensors, axis=0)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -243,16 +225,6 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return apply_op((table,), table.data[idx], rule)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def rule(g):
-        return (g.reshape(a.shape),)
-
-    return apply_op((a,), out.copy(), rule)
-
-
 def sum_all(a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
     a = _as_tensor(a)
@@ -271,31 +243,31 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label] for a 1-D logit vector.
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Summed -log softmax(row)[label] over the rows of [B, C] logits, one label per row.
 
-    Computed via max-subtraction so large logits cannot overflow; the
-    backward rule is softmax(logits) - onehot(label).
+    A 1-D logit vector [C] is one row, with one integer label.  Computed
+    via max-subtraction so large logits cannot overflow; the backward rule
+    is softmax(logits) - onehot(labels).
     """
     logits = _as_tensor(logits)
-    if logits.data.ndim != 1:
-        raise ShapeError(f"softmax_cross_entropy needs 1-D logits, got {logits.shape}")
-    c = logits.shape[0]
-    label = int(label)
-    if not 0 <= label < c:
-        raise ValueError(f"label {label} out of range for {c} classes")
-    if not np.all(np.isfinite(logits.data)):
+    rows, labels = np.atleast_2d(logits.data), np.asarray(labels, dtype=np.intp).reshape(-1)
+    if rows.ndim != 2 or labels.shape != rows.shape[:1]:
+        raise ShapeError(f"softmax_cross_entropy needs [C] or [B, C] logits and B labels, got {logits.shape} "
+                         f"and {labels.size} labels")
+    if np.any((labels < 0) | (labels >= rows.shape[1])):
+        raise ValueError(f"labels {labels.tolist()} out of range for {rows.shape[1]} classes")
+    if not np.all(np.isfinite(rows)):
         raise ValueError("softmax_cross_entropy requires finite logits")
-    m = logits.data.max()
-    shifted = logits.data - m
-    logsumexp = m + np.log(np.exp(shifted).sum())
-    loss = logsumexp - logits.data[label]
-    probs = softmax(logits.data)
+    picked = np.arange(len(rows)), labels
+    m = rows.max(axis=1)
+    loss = (m + np.log(np.exp(rows - m[:, None]).sum(axis=1)) - rows[picked]).sum()
+    probs = softmax(rows)
 
     def rule(g):
         grad = probs.copy()
-        grad[label] -= 1.0
-        return (grad * float(g),)
+        grad[picked] -= 1.0
+        return ((grad * float(g)).reshape(logits.shape),)
 
     return apply_op((logits,), np.asarray(loss), rule)
 

@@ -21,7 +21,6 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields, replace
-from functools import reduce
 
 import numpy as np
 
@@ -198,49 +197,42 @@ class Model:
         for _, p in self.named_parameters():
             p.zero_grad()
 
-    def _pool(self, z: Tensor) -> Tensor:
+    def _pool(self, z: Tensor, lengths: list[int]) -> Tensor:
         if self.config.pooling == "percentile":
-            return percentile_pool(z, self.config.pooling_p)
+            return percentile_pool(z, self.config.pooling_p, lengths)
         if self.config.pooling == "average":
-            return average_pool(z)
-        return self.fc_head(z)
+            return average_pool(z, lengths)
+        return self.fc_head(z, lengths)
 
     def forward_batch(
         self,
         encoded: list[tuple[np.ndarray, np.ndarray]],
         training: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> list[Tensor]:
-        """Logit vectors for a batch of (token_ids, normalized_adjacency).
-
-        The batch's tokens go through the embedding, the Bi-LSTM and batch
-        norm as one packed [N, d] matrix, so batch norm's statistics cover
-        every token in the batch; each record's rows then meet its own
-        graph in the GCN and are pooled.
-        """
+    ) -> Tensor:
+        """Logits [B, C] for B (token_ids, normalized_adjacency) pairs, run as one packed batch."""
         lengths = [len(token_ids) for token_ids, _ in encoded]
         x = self.embedding(np.concatenate([token_ids for token_ids, _ in encoded]))
         features = self.bilstm(x, training=training, rng=rng, lengths=lengths)
         if self.batch_norm is not None:
             features = self.batch_norm(features, training=training)
-        logits, start = [], 0
-        for n, (_, adj) in zip(lengths, encoded):
-            logits.append(self._pool(self.gcn(T.slice_rows(features, start, start + n), adj)))
-            start += n
-        return logits
+        return self._pool(self.gcn(features, *(adj for _, adj in encoded)), lengths)
 
     def encode(self, record: Record) -> tuple[np.ndarray, np.ndarray]:
         graph = build_graph(record, self.config.adjacency_mode, self.config.max_len)
         return self.vocab.encode(record.tokens), graph.normalized
 
+    def probabilities(self, encoded: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """Class probability rows [len(encoded), C], batch_size encoded records at a time."""
+        probs, size = np.zeros((len(encoded), self.config.classes)), self.config.batch_size
+        for start in range(0, len(encoded), size):
+            probs[start : start + size] = T.softmax(self.forward_batch(encoded[start : start + size]).data)
+        return probs
+
     def predict(self, records: list[Record]) -> tuple[list[int], np.ndarray]:
         """Predicted class ids and the full probability rows."""
-        probs = np.zeros((len(records), self.config.classes))
-        for i, rec in enumerate(records):
-            logits = self.forward_batch([self.encode(rec)], training=False)[0]
-            probs[i] = T.softmax(logits.data)
-        labels = [int(np.argmax(p)) for p in probs]
-        return labels, probs
+        probs = self.probabilities([self.encode(rec) for rec in records])
+        return probs.argmax(axis=1).tolist(), probs
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
         arrays = [(name, p.data) for name, p in self.named_parameters()]
@@ -272,38 +264,47 @@ class Model:
 # ---------------------------------------------------------------------------
 
 
-def orthogonality_penalty(weight: Tensor) -> Tensor:
-    """||gram(W) - I||_F^2 with the gram taken on the smaller side, as one tape op.
+def orthogonality_penalty(*weights: Tensor) -> Tensor:
+    """Sum over the weights of ||gram(W) - I||_F^2, each gram on W's smaller side, as one tape op.
 
     With D = gram - I (symmetric), the gradient is 4 W D for a tall W
     and 4 D W for a wide one.
     """
-    w = weight.data  # Adam rebinds weight.data, so the rule's reference stays valid
-    tall = w.shape[0] >= w.shape[1]
-    diff = (w.T @ w if tall else w @ w.T) - np.eye(min(w.shape))
+    ws = [w.data for w in weights]  # Adam rebinds weight.data, so the rule's references stay valid
+    tall = [w.shape[0] >= w.shape[1] for w in ws]
+    diffs = [(w.T @ w if t else w @ w.T) - np.eye(min(w.shape)) for w, t in zip(ws, tall)]
 
     def rule(g):
-        return (4.0 * g * (w @ diff if tall else diff @ w),)
+        return tuple(4.0 * g * (w @ d if t else d @ w) for w, t, d in zip(ws, tall, diffs))
 
-    return T.apply_op((weight,), np.asarray((diff * diff).sum()), rule)
+    return T.apply_op(weights, np.asarray(sum(float((d * d).sum()) for d in diffs)), rule)
+
+
+def l2_penalty(*weights: Tensor) -> Tensor:
+    """Sum of the squared entries of the weights, as one tape op."""
+    arrays = [w.data for w in weights]
+
+    def rule(g):
+        return tuple(2.0 * g * a for a in arrays)
+
+    return T.apply_op(weights, np.asarray(sum(float((a * a).sum()) for a in arrays)), rule)
 
 
 def total_loss(
-    batch_logits: list[Tensor],
-    batch_labels: list[int],
+    logits: Tensor,
+    labels: list[int],
     weights: list[Tensor],
     lambda_orth: float,
     lambda_l2: float,
 ) -> Tensor:
-    """Mean cross-entropy plus orthogonality and L2 penalties."""
-    if len(batch_logits) != len(batch_labels) or not batch_logits:
+    """Mean cross-entropy of [B, C] logits against B labels, plus orthogonality and L2 penalties."""
+    if logits.data.ndim != 2 or logits.shape[0] != len(labels) or not len(labels):
         raise ValueError("batch logits and labels must align and be non-empty")
-    ce = reduce(T.add, map(T.softmax_cross_entropy, batch_logits, batch_labels))
-    loss = ce * (1.0 / len(batch_logits))
+    loss = T.softmax_cross_entropy(logits, labels) * (1.0 / len(labels))
     if lambda_orth > 0 and weights:
-        loss = loss + reduce(T.add, map(orthogonality_penalty, weights)) * lambda_orth
+        loss = loss + orthogonality_penalty(*weights) * lambda_orth
     if lambda_l2 > 0 and weights:
-        loss = loss + reduce(T.add, ((w * w).sum() for w in weights)) * lambda_l2
+        loss = loss + l2_penalty(*weights) * lambda_l2
     return loss
 
 
@@ -405,6 +406,7 @@ def train(
     optimizer = Adam(model.named_parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)
 
     encoded = [model.encode(rec) for rec in train_records]
+    dev_encoded = [model.encode(rec) for rec in dev_records]
     labels = [rec.label for rec in train_records]
     gold_dev = [rec.label for rec in dev_records]
 
@@ -434,8 +436,8 @@ def train(
             epoch_loss += loss.item() * len(idx)
         epoch_loss /= len(train_records)
 
-        train_report = evaluate(model.predict(train_records)[0], labels, config.classes)
-        dev_report = evaluate(model.predict(dev_records)[0], gold_dev, config.classes)
+        train_report = evaluate(model.probabilities(encoded).argmax(axis=1).tolist(), labels, config.classes)
+        dev_report = evaluate(model.probabilities(dev_encoded).argmax(axis=1).tolist(), gold_dev, config.classes)
         history.append(_epoch_entry(epoch, epoch_loss, train_report, dev_report))
         if log is not None:
             log(history[-1])
@@ -465,7 +467,7 @@ def save_history(history: list[dict], path) -> None:
     """One JSON object per line, keys sorted: byte-stable across runs."""
     with _atomic_open(path) as fh:
         for entry in history:
-            fh.write((json.dumps(entry, sort_keys=True) + "\n").encode("utf-8"))
+            fh.write((json.dumps(entry, sort_keys=True, allow_nan=False) + "\n").encode("utf-8"))
 
 
 def load_history(path) -> list[dict]:
@@ -518,6 +520,8 @@ def load_checkpoint(path) -> Model:
         header = json.loads(blob[prefix : prefix + header_len].decode("utf-8"))
         config = TrainConfig.from_dict(header["config"])
         vocab = Vocabulary.from_words(header["vocab_words"])
+        if vocab.words != header["vocab_words"] or not all(isinstance(w, str) for w in vocab.words):
+            raise CheckpointError(f"{path}: vocab_words must be a list of distinct strings")
         shapes = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
         for name, shape in shapes:
             if not isinstance(name, str) or any(type(d) is not int or d < 0 for d in shape):
@@ -539,6 +543,8 @@ def load_checkpoint(path) -> Model:
         count = math.prod(shape)
         state[name] = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
         offset += count * 8
+        if not np.isfinite(state[name]).all():
+            raise CheckpointError(f"{path}: array {name} holds non-finite values")
 
     model = Model(config, vocab, rng=np.random.default_rng(0))
     model.load_snapshot(state)
@@ -555,6 +561,7 @@ def predictions_to_lines(model: Model, records: list[Record]) -> list[str]:
             json.dumps(
                 {"label": names[label], "label_id": label, "probabilities": [float(v) for v in p]},
                 sort_keys=True,
+                allow_nan=False,
             )
         )
     return lines

@@ -11,7 +11,7 @@ import pytest
 from syngcn.cli import main
 from syngcn.corpus import save_corpus
 from syngcn.synthetic import class_word_corpus
-from syngcn.training import load_checkpoint, load_history
+from syngcn.training import load_checkpoint, load_history, save_checkpoint
 
 # 100 000 nested arrays: more than the JSON decoder's recursion limit allows.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -161,6 +161,28 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert "checkpoint:" in err and "shape" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("corruption, named", [("nan_weight", "gcn.weight"), ("null_word", "vocab_words")])
+    def test_unusable_checkpoint_fails_cleanly(self, workspace, tmp_path, capsys, corruption, named):
+        import struct
+
+        bad = tmp_path / "unusable.sgcn"
+        if corruption == "nan_weight":
+            model = load_checkpoint(workspace["checkpoint"])
+            model.gcn.weight.data[0, 0] = float("nan")
+            save_checkpoint(model, bad)
+        else:
+            blob = workspace["checkpoint"].read_bytes()
+            header_len = struct.unpack("<Q", blob[8:16])[0]
+            header = json.loads(blob[16 : 16 + header_len])
+            header["vocab_words"][0] = None
+            raw = json.dumps(header, sort_keys=True).encode("utf-8")
+            bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len :])
+        code = main(["predict", "--checkpoint", str(bad), "--test", str(workspace["corpus"])])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "checkpoint:" in captured.err and named in captured.err and "Traceback" not in captured.err
+        assert "NaN" not in captured.out
 
     def test_deeply_nested_header_fails_cleanly(self, workspace, tmp_path, capsys):
         import struct

@@ -323,6 +323,12 @@ class TestGcn:
             layer(Tensor(np.zeros((3, 4))), np.eye(2))
         with pytest.raises(ShapeError):
             layer(Tensor(np.zeros((3, 5))), np.eye(3))
+        with pytest.raises(ShapeError):
+            layer(Tensor(np.zeros((3, 4))), np.ones((3, 2)))
+        with pytest.raises(ShapeError):
+            layer(Tensor(np.zeros((3, 4))), np.eye(1), np.eye(1))
+        with pytest.raises(ShapeError):
+            layer(Tensor(np.zeros((3, 4))))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(61)
@@ -332,6 +338,28 @@ class TestGcn:
         cot = Tensor(rng.uniform(-1.0, 1.0, size=(4, 3)))
         err = check_gradients(lambda: sum_all(mul(layer(features, adj), cot)), [features, layer.weight])
         assert err < 1e-4
+
+    def test_packed_records_match_separate_calls(self):
+        rng = np.random.default_rng(63)
+        layer = GcnLayer(input_dim=5, classes=3, rng=rng)
+        lengths = [1, 4, 4, 2, 1, 7]
+        adjs = [rng.uniform(0.0, 1.0, size=(n, n)) for n in lengths]  # asymmetric: A and A' differ
+        features = rand_tensor(rng, (sum(lengths), 5))
+        cot = rng.uniform(-1.0, 1.0, size=(sum(lengths), 3))
+        packed = layer(features, *adjs)
+        backward(sum_all(mul(packed, Tensor(cot))))
+        grads = features.grad.copy(), layer.weight.grad.copy()
+        features.zero_grad()
+        layer.weight.zero_grad()
+        start, singles = 0, []
+        for n, adj in zip(lengths, adjs):  # each record on its own, from primitive ops
+            part = T.matmul(Tensor(adj), T.slice_rows(features, start, start + n))
+            singles.append(T.relu(part @ layer.weight))
+            start += n
+        backward(sum_all(mul(T.concat_rows(singles), Tensor(cot))))
+        np.testing.assert_allclose(packed.data, np.concatenate([t.data for t in singles]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads[0], features.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads[1], layer.weight.grad, rtol=0, atol=1e-12)
 
 
 def percentile_oracle(column, p):
@@ -407,6 +435,69 @@ class TestPercentilePool:
             percentile_pool(Tensor(np.ones((2, 2))), 101)
         with pytest.raises(ShapeError):
             percentile_pool(Tensor(np.ones((0, 2))), 50)
+
+
+class TestPerRecordPooling:
+    """A packed call with lengths equals one call per record, in values and gradients."""
+
+    @pytest.mark.parametrize("mode", ["percentile", "average", "fc"])
+    def test_records_equal_separate_calls(self, mode):
+        rng = np.random.default_rng(109)
+        head = FcHead(max_len=7, classes=3, rng=rng)
+        for _ in range(30):
+            lengths = [1, 3, 3] + rng.integers(1, 8, size=int(rng.integers(0, 6))).tolist()
+            lengths = rng.permutation(lengths).tolist()
+            # Few distinct values, so columns hold ties.
+            z = Tensor(rng.integers(-2, 3, size=(sum(lengths), 3)).astype(np.float64), requires_grad=True)
+            p = float(rng.choice([0, 30, 50, 100, rng.integers(0, 101)]))
+            pool = {
+                "percentile": lambda t, lengths=None: percentile_pool(t, p, lengths),
+                "average": average_pool,
+                "fc": lambda t, lengths=None: head(t, lengths),
+            }[mode]
+            cot = rng.uniform(-1.0, 1.0, size=(len(lengths), 3))
+            packed = pool(z, lengths)
+            assert packed.shape == (len(lengths), 3)
+            backward(sum_all(mul(packed, Tensor(cot))))
+            packed_grad = z.grad
+            start = 0
+            for b, n in enumerate(lengths):
+                part = Tensor(z.data[start : start + n], requires_grad=True)
+                single = pool(part)
+                assert single.shape == (3,)
+                backward(sum_all(mul(single, Tensor(cot[b]))))
+                if mode == "fc":
+                    np.testing.assert_allclose(packed.data[b], single.data, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(packed_grad[start : start + n], part.grad, rtol=0, atol=1e-12)
+                else:
+                    np.testing.assert_array_equal(packed.data[b], single.data)
+                    np.testing.assert_array_equal(packed_grad[start : start + n], part.grad)
+                start += n
+            z.zero_grad()
+
+    def test_fc_head_parameter_gradients_sum_over_records(self):
+        rng = np.random.default_rng(113)
+        head = FcHead(max_len=5, classes=3, rng=rng)
+        lengths = [2, 5, 1]
+        z = rand_tensor(rng, (sum(lengths), 3))
+        cot = Tensor(rng.uniform(-1.0, 1.0, size=(len(lengths), 3)))
+        err = check_gradients(lambda: sum_all(mul(head(z, lengths), cot)), [z, head.weight, head.bias])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("lengths", [[3, 0, 2], [6, -1], [2, 2], [4, 2], []])
+    def test_bad_lengths_rejected(self, lengths):
+        z = Tensor(np.ones((5, 3)))
+        for pool in (lambda: percentile_pool(z, 50, lengths), lambda: average_pool(z, lengths)):
+            with pytest.raises(ShapeError):
+                pool()
+        with pytest.raises(ShapeError):
+            FcHead(max_len=5, classes=3, rng=np.random.default_rng(1))(z, lengths)
+
+    def test_fc_head_checks_each_record_length(self):
+        head = FcHead(max_len=4, classes=3, rng=np.random.default_rng(2))
+        assert head(Tensor(np.ones((8, 3))), [4, 4]).shape == (2, 3)
+        with pytest.raises(ShapeError):
+            head(Tensor(np.ones((8, 3))), [5, 3])
 
 
 class TestAveragePool:

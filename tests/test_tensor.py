@@ -18,7 +18,6 @@ from syngcn.tensor import (
     matmul,
     mul,
     relu,
-    reshape,
     slice_rows,
     softmax,
     softmax_cross_entropy,
@@ -27,6 +26,7 @@ from syngcn.tensor import (
 
 from helpers import check_gradients, finite_difference, max_rel_err, rand_tensor
 from reference_lstm import sigmoid, tanh
+from reference_tail import reshape
 
 
 class TestMatmul:
@@ -77,24 +77,28 @@ class TestElementwise:
 
 class TestConcat:
     def test_one_dimensional(self):
-        np.testing.assert_allclose(concat(Tensor([1.0, 2.0]), Tensor([3.0]), axis=0).data, [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(concat([Tensor([1.0, 2.0]), Tensor([3.0])], axis=0).data, [1.0, 2.0, 3.0])
 
     def test_shape_law_axis_one(self):
-        out = concat(Tensor(np.zeros((2, 3))), Tensor(np.ones((2, 3))), axis=1)
+        out = concat([Tensor(np.zeros((2, 3))), Tensor(np.ones((2, 3)))], axis=1)
         assert out.shape == (2, 6)
 
     def test_gradient_splits_to_both_inputs(self):
         a = Tensor(np.zeros((2, 3)), requires_grad=True)
         b = Tensor(np.ones((2, 3)), requires_grad=True)
-        backward(sum_all(concat(a, b, axis=1)))
+        backward(sum_all(concat([a, b], axis=1)))
         np.testing.assert_allclose(a.grad, np.ones((2, 3)))
         np.testing.assert_allclose(b.grad, np.ones((2, 3)))
 
     def test_mismatched_off_axis_dims_rejected(self):
         with pytest.raises(ShapeError):
-            concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), axis=1)
+            concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], axis=1)
         with pytest.raises(ShapeError):
-            concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), axis=2)
+            concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))], axis=2)
+        with pytest.raises(ShapeError):
+            concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))], axis=0)
+        with pytest.raises(ShapeError):
+            concat([], axis=0)
 
     def test_concat_rows_stacks_and_splits(self):
         blocks = [Tensor(np.full((n, 2), float(n)), requires_grad=True) for n in (1, 3, 2)]
@@ -135,6 +139,31 @@ class TestSoftmaxCrossEntropy:
             label = int(rng.integers(7))
             worst = max(worst, check_gradients(lambda: softmax_cross_entropy(logits, label), [logits]))
         assert worst < 1e-5
+
+    def test_batch_equals_sum_of_rows(self):
+        rng = np.random.default_rng(19)
+        for rows in (1, 2, 5, 32):
+            logits = Tensor(rng.uniform(-5.0, 5.0, size=(rows, 7)), requires_grad=True)
+            labels = rng.integers(7, size=rows).tolist()
+            backward(softmax_cross_entropy(logits, labels))
+            per_row = []
+            for row, label in zip(logits.data, labels):
+                one = Tensor(row, requires_grad=True)
+                loss = softmax_cross_entropy(one, label)
+                backward(loss)
+                per_row.append((loss.item(), one.grad))
+            total = softmax_cross_entropy(Tensor(logits.data), labels).item()
+            assert total == pytest.approx(sum(v for v, _ in per_row), rel=1e-14)
+            np.testing.assert_array_equal(logits.grad, np.stack([g for _, g in per_row]))
+
+    def test_batch_labels_must_align(self):
+        logits = Tensor(np.zeros((3, 4)))
+        with pytest.raises(ShapeError):
+            softmax_cross_entropy(logits, [0, 1])
+        with pytest.raises(ValueError):
+            softmax_cross_entropy(logits, [0, 1, 4])
+        with pytest.raises(ShapeError):
+            softmax_cross_entropy(Tensor(np.zeros((2, 3, 4))), [0, 1])
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(17)
@@ -265,11 +294,11 @@ def _op_cases():
 
     def case_concat_axis0(rng):
         a, b = rand_tensor(rng, (2, 3)), rand_tensor(rng, (4, 3))
-        return with_cotangent(rng, (6, 3), lambda: concat(a, b, axis=0), [a, b])
+        return with_cotangent(rng, (6, 3), lambda: concat([a, b], axis=0), [a, b])
 
     def case_concat_axis1(rng):
         a, b = rand_tensor(rng, (2, 3)), rand_tensor(rng, (2, 2))
-        return with_cotangent(rng, (2, 5), lambda: concat(a, b, axis=1), [a, b])
+        return with_cotangent(rng, (2, 5), lambda: concat([a, b], axis=1), [a, b])
 
     def case_concat_rows(rng):
         blocks = [rand_tensor(rng, (n, 3)) for n in (1, 2, 3)]
@@ -284,6 +313,7 @@ def _op_cases():
         idx = rng.integers(0, 5, size=7)  # repeats exercise scatter-add
         return with_cotangent(rng, (7, 3), lambda: gather_rows(table, idx), [table])
 
+    # reshape is the reference tail's own tape op (the fc head's flattening).
     def case_reshape(rng):
         a = rand_tensor(rng, (3, 4))
         return with_cotangent(rng, (2, 6), lambda: reshape(a, (2, 6)), [a])
@@ -292,6 +322,11 @@ def _op_cases():
         logits = rand_tensor(rng, (7,), low=-3.0, high=3.0)
         label = int(rng.integers(7))
         return (lambda: softmax_cross_entropy(logits, label)), [logits]
+
+    def case_cross_entropy_batch(rng):
+        logits = rand_tensor(rng, (4, 7), low=-3.0, high=3.0)
+        labels = rng.integers(7, size=4)
+        return (lambda: softmax_cross_entropy(logits, labels)), [logits]
 
     return [
         ("matmul", 1e-6, case_matmul),
@@ -309,6 +344,7 @@ def _op_cases():
         ("gather_rows", 1e-4, case_gather_rows),
         ("reshape", 1e-4, case_reshape),
         ("softmax_cross_entropy", 1e-5, case_cross_entropy),
+        ("softmax_cross_entropy_batch", 1e-5, case_cross_entropy_batch),
     ]
 
 

@@ -2,12 +2,15 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from syngcn import tensor as T
+from syngcn.corpus import Record, build_vocab
 from syngcn.layers import orthogonal_init
 from syngcn.synthetic import class_word_corpus
 from syngcn.tensor import Tensor, backward, mul, softmax_cross_entropy, sum_all
@@ -18,16 +21,19 @@ from syngcn.training import (
     Model,
     OptimizationError,
     TrainConfig,
+    l2_penalty,
     load_checkpoint,
     load_config,
     load_history,
     orthogonality_penalty,
+    predictions_to_lines,
     save_checkpoint,
     save_history,
     total_loss,
     train,
 )
 
+import reference_tail
 from helpers import check_gradients
 
 
@@ -144,7 +150,7 @@ class TestOrthogonalInitContract:
 
 class TestTotalLoss:
     def _batch(self, rng, n=3, classes=4):
-        logits = [Tensor(rng.uniform(-1.0, 1.0, size=classes), requires_grad=True) for _ in range(n)]
+        logits = Tensor(rng.uniform(-1.0, 1.0, size=(n, classes)), requires_grad=True)
         labels = [int(rng.integers(classes)) for _ in range(n)]
         return logits, labels
 
@@ -153,9 +159,7 @@ class TestTotalLoss:
         logits, labels = self._batch(rng)
         w = Tensor(rng.uniform(size=(3, 3)), requires_grad=True)
         loss = total_loss(logits, labels, [w], lambda_orth=0.0, lambda_l2=0.0)
-        expected = np.mean(
-            [softmax_cross_entropy(Tensor(l.data), y).item() for l, y in zip(logits, labels)]
-        )
+        expected = np.mean([softmax_cross_entropy(Tensor(row), y).item() for row, y in zip(logits.data, labels)])
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_orthogonal_weight_contributes_nothing(self):
@@ -178,6 +182,14 @@ class TestTotalLoss:
         w = Tensor(np.hstack([2.0 * np.eye(2), np.zeros((2, 3))]), requires_grad=True)
         # W W' = 4I on the 2x2 side -> same 18 as the square case
         assert orthogonality_penalty(w).item() == pytest.approx(18.0)
+
+    def test_penalties_sum_over_weights(self):
+        rng = np.random.default_rng(41)
+        weights = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((4, 3), (3, 5), (2, 2))]
+        joint = orthogonality_penalty(*weights).item()
+        assert joint == pytest.approx(sum(orthogonality_penalty(w).item() for w in weights), rel=1e-14)
+        squares = l2_penalty(*weights).item()
+        assert squares == pytest.approx(sum(float((w.data**2).sum()) for w in weights), rel=1e-14)
 
     def test_l2_term(self):
         rng = np.random.default_rng(23)
@@ -206,16 +218,18 @@ class TestTotalLoss:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(37)
         logits, labels = self._batch(rng)
-        for shape in ((4, 3), (3, 5)):  # gram on the column side, then the row side
-            w = Tensor(rng.normal(size=shape), requires_grad=True)
-            err = check_gradients(
-                lambda: total_loss(logits, labels, [w], 0.7, 0.3), [w] + logits
-            )
+        shapes = ((4, 3), (3, 5), (3, 3))
+        tall, wide, square = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes)
+        # gram on the column side, on the row side, then all three in one op
+        for weights in ([tall], [wide], [tall, wide, square]):
+            err = check_gradients(lambda: total_loss(logits, labels, weights, 0.7, 0.3), weights + [logits])
             assert err < 1e-5
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            total_loss([], [], [], 0.0, 0.0)
+            total_loss(Tensor(np.zeros((0, 4))), [], [], 0.0, 0.0)
+        with pytest.raises(ValueError):
+            total_loss(Tensor(np.zeros((2, 4))), [1], [], 0.0, 0.0)
 
 
 class TestAdam:
@@ -369,8 +383,9 @@ class TestModelForward:
         model.batch_norm.load_state(rng.normal(size=10), rng.uniform(0.5, 2.0, size=10))
         encoded = [model.encode(rec) for rec in train_recs]
         batch = model.forward_batch(encoded)
-        for logits, enc in zip(batch, encoded):
-            np.testing.assert_allclose(logits.data, model.forward_batch([enc])[0].data, rtol=0, atol=1e-12)
+        assert batch.shape == (len(encoded), config.classes)
+        for logits, enc in zip(batch.data, encoded):
+            np.testing.assert_allclose(logits, model.forward_batch([enc]).data[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
     def test_lstm_runs_once_per_cell_per_batch(self, tiny_corpus, monkeypatch, training):
@@ -386,8 +401,40 @@ class TestModelForward:
         for size in (1, 3, 8):
             calls.clear()
             batch = [model.encode(rec) for rec in train_recs[:size]]
-            assert len(model.forward_batch(batch, training, np.random.default_rng(0))) == size
+            assert model.forward_batch(batch, training, np.random.default_rng(0)).shape[0] == size
             assert len(calls) == 4
+
+    @pytest.mark.parametrize("pooling", ["percentile", "average", "fc"])
+    def test_tape_ops_do_not_grow_with_batch_size(self, tiny_corpus, monkeypatch, pooling):
+        train_recs, _ = tiny_corpus
+        config = tiny_config(lstm_layers=2, dropout=0.5, pooling=pooling)
+        model = Model(config, build_vocab(train_recs), np.random.default_rng(config.seed))
+        ops = []
+        original = T.apply_op
+        monkeypatch.setattr(T, "apply_op", lambda *args: ops.append(1) or original(*args))
+        counts = []
+        for size in (1, 3, 8):
+            ops.clear()
+            batch = [model.encode(rec) for rec in train_recs[:size]]
+            logits = model.forward_batch(batch, True, np.random.default_rng(0))
+            total_loss(logits, [rec.label for rec in train_recs[:size]], model.penalized_weights(), 1e-3, 1e-3)
+            counts.append(len(ops))
+        assert counts[0] == counts[1] == counts[2], counts
+
+    @pytest.mark.parametrize("size", [0, 1, 4, 5], ids=["none", "one", "batch_size", "batch_size_plus_one"])
+    def test_predict_equals_each_records_own_forward(self, tiny_corpus, size):
+        train_recs, _ = tiny_corpus
+        config = tiny_config(lstm_layers=2)
+        model = Model(config, build_vocab(train_recs), np.random.default_rng(config.seed))
+        rng = np.random.default_rng(6)
+        model.batch_norm.load_state(rng.normal(size=10), rng.uniform(0.5, 2.0, size=10))
+        records = (train_recs * 2)[:size]
+        labels, probs = model.predict(records)
+        assert probs.shape == (size, config.classes) and len(labels) == size
+        for rec, label, row in zip(records, labels, probs):
+            own = T.softmax(model.forward_batch([model.encode(rec)]).data[0])
+            np.testing.assert_allclose(row, own, rtol=0, atol=1e-12)
+            assert label == int(np.argmax(row))
 
     def test_probabilities_normalized(self, tiny_corpus):
         train_recs, _ = tiny_corpus
@@ -397,6 +444,58 @@ class TestModelForward:
         model = Model(config, build_vocab(train_recs), np.random.default_rng(config.seed))
         _, probs = model.predict(train_recs)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(len(train_recs)), atol=1e-12)
+
+
+def _random_records(rng, lengths, words=("a", "b", "c", "d", "e", "f")):
+    """Records of the given lengths with random one- or two-sentence dependency trees."""
+    records = []
+    for n in lengths:
+        cut = int(rng.integers(1, n)) if n > 1 and rng.random() < 0.5 else n
+        bounds = [(0, cut)] + ([(cut, n)] if cut < n else [])
+        heads = []
+        for start, stop in bounds:
+            order = rng.permutation(stop - start)
+            sentence = [0] * (stop - start)
+            for k in range(1, stop - start):
+                sentence[order[k]] = int(order[rng.integers(0, k)]) + 1
+            heads += sentence
+        tokens = tuple(rng.choice(words, size=n).tolist())
+        records.append(Record(tokens, tuple(bounds), tuple(heads), int(rng.integers(7))))
+    return records
+
+
+class TestPerRecordTailOracle:
+    """The packed GCN, pooling and loss against the per-record tail in reference_tail."""
+
+    @pytest.mark.parametrize("adjacency_mode", ["syntax", "all_ones"])
+    @pytest.mark.parametrize("pooling", ["percentile", "average", "fc"])
+    def test_logits_loss_and_gradients_match(self, pooling, adjacency_mode):
+        rng = np.random.default_rng(len(pooling) * 7 + len(adjacency_mode))
+        config = tiny_config(
+            lstm_layers=2, dropout=0.5, pooling=pooling, adjacency_mode=adjacency_mode, lambda_orth=0.1, lambda_l2=0.1
+        )
+        for trial in range(3):
+            lengths = rng.permutation([1, 1, 4, 4] + rng.integers(1, 12, size=trial * 3).tolist()).tolist()
+            records = _random_records(rng, lengths)
+            model = Model(config, build_vocab(records), np.random.default_rng(trial))
+            encoded = [model.encode(rec) for rec in records]
+            labels = [rec.label for rec in records]
+
+            model.zero_grad()
+            logits = model.forward_batch(encoded, training=True, rng=np.random.default_rng(5))
+            loss = total_loss(logits, labels, model.penalized_weights(), config.lambda_orth, config.lambda_l2)
+            backward(loss)
+            grads = {name: p.grad for name, p in model.named_parameters()}
+
+            model.zero_grad()
+            ref_logits = reference_tail.per_record_logits(model, encoded, True, np.random.default_rng(5))
+            ref_loss = reference_tail.per_record_loss(model, ref_logits, labels)
+            backward(ref_loss)
+
+            np.testing.assert_allclose(logits.data, np.stack([t.data for t in ref_logits]), rtol=0, atol=1e-12)
+            assert abs(loss.item() - ref_loss.item()) <= 1e-12
+            for name, p in model.named_parameters():
+                np.testing.assert_allclose(grads[name], p.grad, rtol=0, atol=1e-12, err_msg=name)
 
 
 @pytest.fixture(scope="module")
@@ -465,14 +564,16 @@ class TestCheckpoint:
             load_checkpoint(bad)
 
     @staticmethod
-    def _rewrite_manifest(blob: bytes, edit) -> bytes:
-        import struct
-
+    def _rewrite_header(blob: bytes, edit) -> bytes:
         header_len = struct.unpack("<Q", blob[8:16])[0]
         header = json.loads(blob[16 : 16 + header_len])
-        edit(header["arrays"])
+        edit(header)
         raw = json.dumps(header, sort_keys=True).encode("utf-8")
         return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len :]
+
+    @classmethod
+    def _rewrite_manifest(cls, blob: bytes, edit) -> bytes:
+        return cls._rewrite_header(blob, lambda header: edit(header["arrays"]))
 
     @pytest.mark.parametrize(
         "edit, field",
@@ -510,6 +611,83 @@ class TestCheckpoint:
         except CheckpointError:
             pass
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("gcn.weight", np.nan), ("embedding.table", -np.inf), ("batch_norm.running_var", np.inf)],
+    )
+    def test_non_finite_array_rejected(self, trained, tmp_path, name, value):
+        _, path, _ = trained
+        model = load_checkpoint(path)
+        dict(model.state_arrays())[name].flat[-1] = value
+        bad = tmp_path / "nonfinite.sgcn"
+        save_checkpoint(model, bad)
+        with pytest.raises(CheckpointError, match=name):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("first", [None, 0, 1.5, True, ["a"], "DUPLICATE"])
+    def test_vocab_words_must_be_distinct_strings(self, trained, tmp_path, first):
+        _, path, _ = trained
+
+        def edit(header):
+            words = header["vocab_words"]
+            words[0] = words[1] if first == "DUPLICATE" else first
+
+        bad = tmp_path / "vocab.sgcn"
+        bad.write_bytes(self._rewrite_header(path.read_bytes(), edit))
+        with pytest.raises(CheckpointError, match="vocab_words must be|unhashable"):
+            load_checkpoint(bad)
+
+    _WRONG_TYPES = (
+        st.none()
+        | st.booleans()
+        | st.floats()
+        | st.text(max_size=4)
+        | st.lists(st.integers(-2, 3), max_size=3)
+        | st.dictionaries(st.text(max_size=2), st.integers(-2, 3), max_size=2)
+    )
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_corruption_raises_checkpoint_error_or_loads_finite(self, trained, tmp_path, data):
+        _, path, _ = trained
+        blob = path.read_bytes()
+        header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
+        kind = data.draw(st.sampled_from(["truncate", "prefix", "header", "payload", "value", "word", "float"]))
+        if kind == "truncate":
+            bad = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        elif kind == "float":
+            slot = header_end + 8 * data.draw(st.integers(0, (len(blob) - header_end) // 8 - 1))
+            value = struct.pack("<d", data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -0.0])))
+            bad = blob[:slot] + value + blob[slot + 8 :]
+        elif kind == "word":
+            index = data.draw(st.integers(0, 7))
+            value = data.draw(self._WRONG_TYPES | st.sampled_from(["filler0", "classword6", "unseen"]))
+            bad = self._rewrite_header(blob, lambda header: header["vocab_words"].__setitem__(index, value))
+        elif kind == "value":
+            # Wrong-typed values only: an integer could ask for arrays of any size.
+            fields = [f"config.{name}" for name in TrainConfig.__dataclass_fields__]
+            key = data.draw(st.sampled_from(["config", "vocab_words", "arrays", "format_version", *fields]))
+            value = data.draw(self._WRONG_TYPES)
+
+            def edit(header):
+                owner = header["config"] if key.startswith("config.") else header
+                owner[key.removeprefix("config.")] = value
+
+            bad = self._rewrite_header(blob, edit)
+        else:
+            low, high = {"prefix": (0, 16), "header": (16, header_end), "payload": (header_end, len(blob))}[kind]
+            flipped = bytearray(blob)
+            flipped[data.draw(st.integers(low, high - 1))] ^= 1 << data.draw(st.integers(0, 7))
+            bad = bytes(flipped)
+        target = tmp_path / "fuzz.sgcn"
+        target.write_bytes(bad)
+        try:
+            model = load_checkpoint(target)
+        except CheckpointError:
+            return
+        assert all(np.isfinite(arr).all() for _, arr in model.state_arrays())
+        assert all(isinstance(word, str) for word in model.vocab.words)
+
     def test_failed_save_leaves_existing_file(self, trained, tmp_path, monkeypatch):
         model, _, _ = trained
         target = tmp_path / "model.sgcn"
@@ -528,6 +706,13 @@ class TestCheckpoint:
             save_checkpoint(model, target)
         assert target.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.sgcn"]
+
+    def test_non_finite_probabilities_are_not_written(self, trained):
+        _, path, records = trained
+        model = load_checkpoint(path)
+        model.gcn.weight.data[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            predictions_to_lines(model, records[:2])
 
     def test_save_twice_identical_bytes(self, trained, tmp_path):
         model, _, _ = trained
@@ -557,3 +742,10 @@ class TestHistoryFiles:
             save_history([{"epoch": 2}, {"epoch": object()}], path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["history.jsonl"]
+
+    def test_non_finite_value_is_not_written(self, tmp_path):
+        path = tmp_path / "history.jsonl"
+        save_history([{"epoch": 1}], path)
+        with pytest.raises(ValueError):
+            save_history([{"epoch": 2, "train_loss": float("nan")}], path)
+        assert load_history(path) == [{"epoch": 1}]
