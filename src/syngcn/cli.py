@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .corpus import MAX_TOKENS, CorpusError, build_graph, load_corpus
+from .files import write_lines
 from .metrics import evaluate
 from .tensor import GraphError, ShapeError
 from .training import (
@@ -119,17 +120,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    records, _ = load_corpus(
-        args.test, schema="train", classes=model.config.classes, max_len=model.config.max_len
-    )
-    if not records:
-        raise CorpusError(f"evaluation corpus {args.test} is empty")
+    records = _load_labeled(args.test, model.config, "evaluation")
     pred, _ = model.predict(records)
     report = evaluate(pred, [rec.label for rec in records], model.config.classes)
     print(report.format_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        write_lines(args.out, [report.to_json()])
         print(f"report: {args.out}")
     return 0
 
@@ -141,8 +137,7 @@ def _cmd_predict(args) -> int:
     )
     lines = predictions_to_lines(model, records)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in lines)
+        write_lines(args.out, lines)
     else:
         for line in lines:
             print(line)
@@ -185,10 +180,8 @@ def _cmd_sweep(args) -> int:
     for value, macro, micro in rows:
         print(f"{f'{args.param}={value}':{width}}  {macro:7.4f}  {micro:7.4f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for value, macro, micro in rows:
-                fh.write(json.dumps({args.param: value, "dev_macro_f": macro, "dev_micro_f": micro},
-                                    sort_keys=True) + "\n")
+        write_lines(args.out, (json.dumps({args.param: value, "dev_macro_f": macro, "dev_micro_f": micro},
+                                          sort_keys=True) for value, macro, micro in rows))
     return 0
 
 

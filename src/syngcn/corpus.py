@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .files import parse_json, write_lines
+
 MAX_TOKENS = 140
 
 EMOTION_NAMES = ("happiness", "sadness", "like", "anger", "disgust", "fear", "surprise")
@@ -148,16 +150,9 @@ def load_corpus(
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             where = f"{path}: line {line_no}"
-            try:
-                line = line.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"{where}: not UTF-8 ({exc.reason})") from exc
-            if not line:
+            if not line.decode("utf-8", "replace").strip():  # decoded, so U+3000 spaces count as blank
                 continue
-            try:
-                raw = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise CorpusError(f"{where}: invalid JSON ({exc})") from exc
+            raw = parse_json(line, CorpusError, where)
             if not isinstance(raw, dict) or "tokens" not in raw or "heads" not in raw:
                 raise CorpusError(f"{where}: record needs tokens and heads fields")
             if not isinstance(raw["tokens"], list):
@@ -187,16 +182,17 @@ def load_corpus(
 
 def save_corpus(records, path) -> None:
     """Inverse of load_corpus (used by fixtures and the demo scripts)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            row = {
-                "tokens": list(rec.tokens),
-                "sent_bounds": [list(span) for span in rec.sent_bounds],
-                "heads": list(rec.heads),
-            }
-            if rec.label is not None:
-                row["label"] = rec.label
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    lines = []
+    for rec in records:
+        row = {
+            "tokens": list(rec.tokens),
+            "sent_bounds": [list(span) for span in rec.sent_bounds],
+            "heads": list(rec.heads),
+        }
+        if rec.label is not None:
+            row["label"] = rec.label
+        lines.append(json.dumps(row, ensure_ascii=False))
+    write_lines(path, lines)
 
 
 def binarize_records(records) -> list[Record]:

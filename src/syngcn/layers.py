@@ -227,38 +227,23 @@ class BatchNorm:
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
         if x.data.ndim != 2 or x.shape[1] != self.gamma.shape[0]:
             raise ShapeError(f"BatchNorm over {self.gamma.shape[0]} features got {x.shape}")
-        gamma, beta = self.gamma, self.beta
+        gamma, beta, mean, var = self.gamma, self.beta, self.running_mean, self.running_var
         if training:
-            n = x.shape[0]
-            mean = x.data.mean(axis=0)
-            var = x.data.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            x_hat = (x.data - mean) * inv_std
-            out = x_hat * gamma.data + beta.data
-
+            mean, var, n = x.data.mean(axis=0), x.data.var(axis=0), x.shape[0]
             unbiased = var * (n / (n - 1)) if n > 1 else var
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
-
-            def rule(g):
-                # Batch statistics depend on x, hence the centering terms.
-                dgamma = (g * x_hat).sum(axis=0)
-                dbeta = g.sum(axis=0)
-                dx = (gamma.data * inv_std / n) * (
-                    n * g - dbeta - x_hat * dgamma
-                )
-                return dx, dgamma, dbeta
-
-            return T.apply_op((x, gamma, beta), out, rule)
-
-        inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-        x_hat = (x.data - self.running_mean) * inv_std
-        out = x_hat * gamma.data + beta.data
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        x_hat = (x.data - mean) * inv_std
 
         def rule(g):
-            return gamma.data * inv_std * g, (g * x_hat).sum(axis=0), g.sum(axis=0)
+            dgamma, dbeta = (g * x_hat).sum(axis=0), g.sum(axis=0)
+            if not training:
+                return gamma.data * inv_std * g, dgamma, dbeta
+            # Batch statistics depend on x, hence the centering terms.
+            return (gamma.data * inv_std / n) * (n * g - dbeta - x_hat * dgamma), dgamma, dbeta
 
-        return T.apply_op((x, gamma, beta), out, rule)
+        return T.apply_op((x, gamma, beta), x_hat * gamma.data + beta.data, rule)
 
 
 class GcnLayer:

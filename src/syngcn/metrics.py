@@ -76,23 +76,12 @@ class EvalReport:
 
 def evaluate(pred, gold, classes: int) -> EvalReport:
     """Score predicted class ids against gold ids."""
-    pred = list(pred)
-    gold = list(gold)
-    if len(pred) != len(gold):
-        raise ValueError(f"{len(pred)} predictions vs {len(gold)} gold labels")
-    for value in pred + gold:
-        if not 0 <= int(value) < classes:
-            raise ValueError(f"class id {value} not in [0, {classes})")
-
-    names = label_names(classes)
+    matrix = confusion(pred, gold, classes)
     scores = []
-    for c in range(classes):
-        n_gold = sum(1 for g in gold if g == c)
-        n_prop = sum(1 for p in pred if p == c)
-        n_corr = sum(1 for p, g in zip(pred, gold) if p == g == c)
-        p = _ratio(n_corr, n_prop)
-        r = _ratio(n_corr, n_gold)
-        scores.append(ClassScore(names[c], n_gold, n_prop, n_corr, p, r, _f_measure(p, r)))
+    for name, n_gold, n_prop, n_corr in zip(label_names(classes), matrix.sum(axis=1).tolist(),
+                                            matrix.sum(axis=0).tolist(), matrix.diagonal().tolist()):
+        p, r = _ratio(n_corr, n_prop), _ratio(n_corr, n_gold)
+        scores.append(ClassScore(name, n_gold, n_prop, n_corr, p, r, _f_measure(p, r)))
 
     macro_p = sum(c.precision for c in scores) / classes
     macro_r = sum(c.recall for c in scores) / classes

@@ -15,10 +15,9 @@ produce identical files.
 
 from __future__ import annotations
 
-import contextlib
+import itertools
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -26,12 +25,14 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import Record, Vocabulary, build_graph, build_vocab, label_names
+from .files import atomic_open, parse_json, write_lines
 from .layers import (
     BatchNorm,
     BiLstm,
     EmbeddingTable,
     FcHead,
     GcnLayer,
+    LstmCell,
     average_pool,
     orthogonal_init,
     percentile_pool,
@@ -148,11 +149,8 @@ class TrainConfig:
 
 def load_config(path) -> TrainConfig:
     """Read a JSON config file whose keys mirror TrainConfig fields."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    with open(path, "rb") as fh:
+        data = parse_json(fh.read(), ConfigError, str(path))
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return TrainConfig.from_dict(data)
@@ -244,13 +242,6 @@ class Model:
         return {name: arr.copy() for name, arr in self.state_arrays()}
 
     def load_snapshot(self, state: dict[str, np.ndarray]) -> None:
-        expected = dict(self.state_arrays())
-        if set(state) != set(expected):
-            missing = sorted(set(expected) ^ set(state))
-            raise CheckpointError(f"parameter set mismatch: {missing}")
-        for name, current in expected.items():
-            if np.shape(state[name]) != current.shape:
-                raise CheckpointError(f"{name}: shape {np.shape(state[name])} != {current.shape}")
         for name, p in self.named_parameters():
             p.data = np.asarray(state[name], dtype=np.float64).copy()
         if self.batch_norm is not None:
@@ -447,32 +438,19 @@ def train(
             best_state = model.snapshot()
 
     model.load_snapshot(best_state)
+    model.zero_grad()  # the last batch's gradients belong to other weights than the best epoch's
     return TrainResult(model=model, history=history, best_epoch=best_epoch, best_dev=best_dev)
-
-
-@contextlib.contextmanager
-def _atomic_open(path):
-    """Binary file handle on a temp file beside ``path``, renamed over ``path`` on success."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def save_history(history: list[dict], path) -> None:
     """One JSON object per line, keys sorted: byte-stable across runs."""
-    with _atomic_open(path) as fh:
-        for entry in history:
-            fh.write((json.dumps(entry, sort_keys=True, allow_nan=False) + "\n").encode("utf-8"))
+    write_lines(path, (json.dumps(entry, sort_keys=True, allow_nan=False) for entry in history))
 
 
 def load_history(path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    with open(path, "rb") as fh:
+        return [parse_json(line, ValueError, f"{path}: line {n}") for n, line in enumerate(fh, start=1)
+                if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +471,26 @@ def save_checkpoint(model: Model, path) -> None:
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
     }
     header_bytes = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQ", _FORMAT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
         for _, arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+
+
+def state_shapes(config: TrainConfig, vocab_size: int):
+    """(name, shape) of each of Model(config, vocab).state_arrays(), in order, allocating nothing."""
+    d, h, c = config.embedding_size, config.hidden_neurons, config.classes
+    yield "embedding.table", (vocab_size, d)
+    for layer in range(config.lstm_layers):  # lazily: a header may ask for billions of layers
+        for way, gate in itertools.product(("fwd", "bwd"), LstmCell.GATES):
+            for part, shape in (("w_x", (2 * h if layer else d, h)), ("w_h", (h, h)), ("bias", (1, h))):
+                yield f"bilstm.{layer}.{way}.{gate}.{part}", shape
+    norm = [(f"batch_norm.{name}", (2 * h,)) for name in ("gamma", "beta", "running_mean", "running_var")]
+    fc = [("fc_head.weight", (config.max_len * c, c)), ("fc_head.bias", (c,))]
+    norm, fc = (norm if config.batch_norm else []), (fc if config.pooling == "fc" else [])
+    yield from norm[:2] + [("gcn.weight", config.gcn_shape)] + fc + norm[2:]
 
 
 def load_checkpoint(path) -> Model:
@@ -516,20 +508,21 @@ def load_checkpoint(path) -> Model:
         raise CheckpointError(f"unsupported checkpoint version {version} (expected {_FORMAT_VERSION})")
     if len(blob) < prefix + header_len:
         raise CheckpointError(f"{path} is truncated (header)")
+    header = parse_json(blob[prefix : prefix + header_len], CheckpointError, f"{path} header")
     try:
-        header = json.loads(blob[prefix : prefix + header_len].decode("utf-8"))
         config = TrainConfig.from_dict(header["config"])
         vocab = Vocabulary.from_words(header["vocab_words"])
         if vocab.words != header["vocab_words"] or not all(isinstance(w, str) for w in vocab.words):
             raise CheckpointError(f"{path}: vocab_words must be a list of distinct strings")
-        shapes = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
-        for name, shape in shapes:
-            if not isinstance(name, str) or any(type(d) is not int or d < 0 for d in shape):
-                raise CheckpointError(f"{path}: manifest entry {name!r} needs a string name and "
-                                      f"a shape of non-negative integers, got {list(shape)}")
+        manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        # Before Model() allocates them, the config's arrays must be the manifest's, which the payload holds.
+        shapes = list(itertools.islice(state_shapes(config, len(vocab)), len(manifest) + 1))
+        for want, held in itertools.zip_longest(shapes, manifest):
+            if want != held:
+                raise CheckpointError(f"{path}: manifest array (name, shape) {held} is not the config's {want}")
     except KeyError as exc:
         raise CheckpointError(f"{path} has a corrupt header: missing field {exc}") from exc
-    except (ValueError, TypeError, RecursionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
 
     payload = blob[prefix + header_len :]

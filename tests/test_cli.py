@@ -1,5 +1,7 @@
 """End-to-end CLI tests driving main() with temp corpora and checkpoints."""
 
+import builtins
+import errno
 import json
 import math
 import shutil
@@ -109,6 +111,16 @@ class TestTrain:
         assert code == 1
         assert "config:" in err and "cfg.json" in err and "Traceback" not in err
 
+    def test_non_utf8_config_fails_with_config_message(self, workspace, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_bytes('{"pooling": "\u00e9"}'.encode("latin-1"))
+        code = main(
+            ["train", "--train", str(workspace["corpus"]), "--checkpoint", str(tmp_path / "x.sgcn"),
+             "--config", str(tmp_path / "cfg.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config:" in err and "cfg.json: not UTF-8" in err and "Traceback" not in err
+
     def test_missing_corpus_file_fails(self, tmp_path, capsys):
         code = main(
             ["train", "--train", str(tmp_path / "absent.jsonl"),
@@ -162,7 +174,10 @@ class TestEval:
         err = capsys.readouterr().err
         assert "checkpoint:" in err and "shape" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("corruption, named", [("nan_weight", "gcn.weight"), ("null_word", "vocab_words")])
+    @pytest.mark.parametrize(
+        "corruption, named",
+        [("nan_weight", "gcn.weight"), ("null_word", "vocab_words"), ("huge_embedding", "embedding.table")],
+    )
     def test_unusable_checkpoint_fails_cleanly(self, workspace, tmp_path, capsys, corruption, named):
         import struct
 
@@ -175,7 +190,10 @@ class TestEval:
             blob = workspace["checkpoint"].read_bytes()
             header_len = struct.unpack("<Q", blob[8:16])[0]
             header = json.loads(blob[16 : 16 + header_len])
-            header["vocab_words"][0] = None
+            if corruption == "null_word":
+                header["vocab_words"][0] = None
+            else:  # 10**9 dimensions: a model of this config could not be allocated
+                header["config"]["embedding_size"] = 10**9
             raw = json.dumps(header, sort_keys=True).encode("utf-8")
             bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len :])
         code = main(["predict", "--checkpoint", str(bad), "--test", str(workspace["corpus"])])
@@ -333,6 +351,63 @@ class TestSweep:
         )
         assert code == 1
         assert "bogus" in capsys.readouterr().err
+
+
+class _DiskFullAfterFirstLine:
+    """A file handle whose disk fills up once the first line is written."""
+
+    def __init__(self, fh):
+        self._fh, self._full = fh, False
+
+    def write(self, data):
+        if self._full:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        cut = data.find(b"\n" if isinstance(data, bytes) else "\n") + 1
+        self._fh.write(data[:cut] if cut else data)
+        self._full = bool(cut)
+        if 0 < cut < len(data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("writer", ["eval", "predict", "sweep", "save_corpus"])
+    def test_failed_write_leaves_existing_target(self, workspace, tmp_path, capsys, monkeypatch, writer):
+        target = tmp_path / "out.jsonl"
+        target.write_bytes(b"old contents\n")
+        corpus, checkpoint = str(workspace["corpus"]), str(workspace["checkpoint"])
+        argv = {
+            "eval": ["eval", "--checkpoint", checkpoint, "--test", corpus],
+            "predict": ["predict", "--checkpoint", checkpoint, "--test", corpus],
+            "sweep": ["sweep", "--train", corpus, "--param", "pooling_p", "--values", "50,100", *TINY],
+        }
+        records = class_word_corpus(3, classes=7, rng=np.random.default_rng(0))
+        real_open = builtins.open
+
+        def open_on_full_disk(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return _DiskFullAfterFirstLine(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(builtins, "open", open_on_full_disk)
+        if writer == "save_corpus":
+            with pytest.raises(OSError, match="No space left"):
+                save_corpus(records, target)
+        else:
+            assert main([*argv[writer], "--out", str(target)]) == 1
+            assert "No space left" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert target.read_bytes() == b"old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
 
 
 class TestEntryPoint:

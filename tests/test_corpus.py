@@ -136,6 +136,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=f"typed.jsonl: line 2: .*{message}"):
             load_corpus(path)
 
+    def test_ideographic_spaces_are_blank(self, tmp_path):
+        path = tmp_path / "spaces.jsonl"
+        row = json.dumps({"tokens": ["b"], "heads": [0], "label": 1})
+        write_lines(path, [{"tokens": ["a"], "heads": [0], "label": 0}, "\u3000\u3000", f"\u3000{row}\u3000"])
+        records, _ = load_corpus(path)
+        assert [rec.tokens for rec in records] == [("a",), ("b",)]
+
     def test_non_utf8_names_line(self, tmp_path):
         path = tmp_path / "latin1.jsonl"
         path.write_bytes(b'{"tokens": ["a"], "heads": [0], "label": 0}\n{"tokens": ["\xe9"]}\n')

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from syngcn.training import (
     predictions_to_lines,
     save_checkpoint,
     save_history,
+    state_shapes,
     total_loss,
     train,
 )
@@ -360,6 +362,12 @@ class TestTrainLoop:
             result = train(tiny_config(pooling=pooling, epochs=1), train_recs, dev_recs)
             assert math.isfinite(result.history[0]["train_loss"])
 
+    def test_returned_model_holds_no_gradients(self, tiny_corpus):
+        # The last batch's gradients were taken at other weights than the restored best epoch's.
+        train_recs, dev_recs = tiny_corpus
+        result = train(tiny_config(epochs=2), train_recs, dev_recs)
+        assert [name for name, p in result.model.named_parameters() if p.grad is not None] == []
+
 
 class TestModelForward:
     def test_eval_forward_bit_identical(self, tiny_corpus):
@@ -508,6 +516,15 @@ def trained(tmp_path_factory):
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("batch_norm", [True, False])
+    @pytest.mark.parametrize("pooling", ["percentile", "average", "fc"])
+    def test_state_shapes_match_a_built_model(self, pooling, batch_norm, layers):
+        config = tiny_config(pooling=pooling, batch_norm=batch_norm, lstm_layers=layers)
+        vocab = build_vocab(class_word_corpus(4, classes=7, rng=np.random.default_rng(0)))
+        built = [(name, arr.shape) for name, arr in Model(config, vocab).state_arrays()]
+        assert list(state_shapes(config, len(vocab))) == built
+
     def test_round_trip_bit_identical(self, trained):
         model, path, _ = trained
         loaded = load_checkpoint(path)
@@ -562,6 +579,42 @@ class TestCheckpoint:
         bad.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("byte", [b"\xff", b"!"], ids=["not_utf8", "not_json"])
+    def test_header_bytes_name_the_fault(self, trained, tmp_path, byte):
+        _, path, _ = trained
+        blob = path.read_bytes()
+        bad = tmp_path / "header.sgcn"
+        bad.write_bytes(blob[:16] + byte + blob[17:])
+        with pytest.raises(CheckpointError, match="header.sgcn header: (not UTF-8|invalid JSON)"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize(
+        "field, pooling, array",
+        [
+            ("embedding_size", "percentile", "embedding.table"),
+            ("hidden_neurons", "percentile", "bilstm.0.fwd.input.w_x"),
+            ("lstm_layers", "percentile", "bilstm.1.fwd.input.w_x"),
+            ("max_len", "fc", "fc_head.weight"),
+        ],
+    )
+    def test_oversized_config_rejected_before_allocating(self, trained, tmp_path, field, pooling, array):
+        # A billion in any of these asks Model() for more memory than a host has, or for a billion layers.
+        model, _, _ = trained
+        source = tmp_path / "source.sgcn"
+        save_checkpoint(Model(replace(model.config, pooling=pooling), model.vocab), source)
+        bad = tmp_path / "huge.sgcn"
+        huge = self._rewrite_header(source.read_bytes(), lambda header: header["config"].update({field: 10**9}))
+        bad.write_bytes(huge)
+        with pytest.raises(CheckpointError, match=f"is not the config's \\('{array}'"):
+            load_checkpoint(bad)
+
+    def test_large_max_len_loads_without_an_fc_head(self, trained, tmp_path):
+        _, path, _ = trained
+        wide = tmp_path / "wide.sgcn"
+        long = self._rewrite_header(path.read_bytes(), lambda header: header["config"].update(max_len=10**9))
+        wide.write_bytes(long)
+        assert load_checkpoint(wide).config.max_len == 10**9
 
     @staticmethod
     def _rewrite_header(blob: bytes, edit) -> bytes:
@@ -664,10 +717,10 @@ class TestCheckpoint:
             value = data.draw(self._WRONG_TYPES | st.sampled_from(["filler0", "classword6", "unseen"]))
             bad = self._rewrite_header(blob, lambda header: header["vocab_words"].__setitem__(index, value))
         elif kind == "value":
-            # Wrong-typed values only: an integer could ask for arrays of any size.
+            # Integers as large as 2**40 too: no config may allocate before the manifest bounds it.
             fields = [f"config.{name}" for name in TrainConfig.__dataclass_fields__]
             key = data.draw(st.sampled_from(["config", "vocab_words", "arrays", "format_version", *fields]))
-            value = data.draw(self._WRONG_TYPES)
+            value = data.draw(self._WRONG_TYPES | st.integers(-2, 2**40))
 
             def edit(header):
                 owner = header["config"] if key.startswith("config.") else header
@@ -742,6 +795,12 @@ class TestHistoryFiles:
             save_history([{"epoch": 2}, {"epoch": object()}], path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["history.jsonl"]
+
+    def test_bad_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "history.jsonl"
+        path.write_bytes(b'{"epoch": 1}\n\n{"epoch": \n')
+        with pytest.raises(ValueError, match="history.jsonl: line 3: invalid JSON"):
+            load_history(path)
 
     def test_non_finite_value_is_not_written(self, tmp_path):
         path = tmp_path / "history.jsonl"
