@@ -23,11 +23,12 @@ class EmbeddingTable:
     """Trainable |V| x d word embeddings; row 0 is the all-zero padding row.
 
     The padding row is kept out of updates by the trainer (its gradient
-    is cleared before each optimizer step).
+    is cleared before each optimizer step).  Without an rng the table is
+    all zeros, for a caller that fills it.
     """
 
-    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
-        weights = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
+    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator | None):
+        weights = np.zeros((vocab_size, dim)) if rng is None else rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
         weights[0] = 0.0
         self.table = Tensor(weights, requires_grad=True)
 
@@ -50,7 +51,7 @@ class LstmCell:
 
     GATES = ("input", "forget", "output", "candidate")
 
-    def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator, name: str):
+    def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator | None, name: str):
         self.hidden = hidden
         self.name = name
         self.w_x: dict[str, Tensor] = {}
@@ -151,7 +152,7 @@ class BiLstm:
     by layer, as if each sequence ran on its own.
     """
 
-    def __init__(self, input_dim: int, hidden: int, layers: int, dropout: float, rng: np.random.Generator):
+    def __init__(self, input_dim: int, hidden: int, layers: int, dropout: float, rng: np.random.Generator | None):
         if layers < 1:
             raise ValueError("BiLstm needs at least one layer")
         self.hidden = hidden
@@ -220,10 +221,6 @@ class BatchNorm:
         yield "batch_norm.running_mean", self.running_mean
         yield "batch_norm.running_var", self.running_var
 
-    def load_state(self, mean: np.ndarray, var: np.ndarray) -> None:
-        self.running_mean = np.asarray(mean, dtype=np.float64).copy()
-        self.running_var = np.asarray(var, dtype=np.float64).copy()
-
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
         if x.data.ndim != 2 or x.shape[1] != self.gamma.shape[0]:
             raise ShapeError(f"BatchNorm over {self.gamma.shape[0]} features got {x.shape}")
@@ -249,7 +246,7 @@ class BatchNorm:
 class GcnLayer:
     """Single graph convolution: ReLU(normalized_adjacency @ features @ weight)."""
 
-    def __init__(self, input_dim: int, classes: int, rng: np.random.Generator):
+    def __init__(self, input_dim: int, classes: int, rng: np.random.Generator | None):
         self.weight = Tensor(orthogonal_init(input_dim, classes, rng), requires_grad=True)
 
     def parameters(self):
@@ -317,7 +314,7 @@ def average_pool(z: Tensor, lengths=None) -> Tensor:
 class FcHead:
     """Pooling baseline: flatten zero-padded features and map to logits."""
 
-    def __init__(self, max_len: int, classes: int, rng: np.random.Generator):
+    def __init__(self, max_len: int, classes: int, rng: np.random.Generator | None):
         self.max_len = max_len
         self.weight = Tensor(orthogonal_init(max_len * classes, classes, rng), requires_grad=True)
         self.bias = Tensor(np.zeros(classes), requires_grad=True)
@@ -343,15 +340,18 @@ class FcHead:
         return _per_record((z, self.weight, self.bias), lengths, flat @ w + self.bias.data, rule)
 
 
-def orthogonal_init(rows: int, cols: int, rng: np.random.Generator, max_tries: int = 3) -> np.ndarray:
+def orthogonal_init(rows: int, cols: int, rng: np.random.Generator | None, max_tries: int = 3) -> np.ndarray:
     """Random matrix with orthonormal columns (rows, if the matrix is wide).
 
     Draws a Gaussian matrix and keeps the orthogonal factor of its thin
     SVD; retries with a fresh sample in the unlikely event the SVD fails
-    to converge.
+    to converge.  Without an rng it draws nothing and returns zeros, for
+    a caller that fills them (a checkpoint's arrays).
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"invalid shape ({rows}, {cols})")
+    if rng is None:
+        return np.zeros((rows, cols))
     for _ in range(max_tries):
         m = rng.standard_normal((rows, cols))
         try:

@@ -162,10 +162,16 @@ def load_config(path) -> TrainConfig:
 
 
 class Model:
-    """Embedding -> stacked Bi-LSTM -> batch norm -> GCN -> pooling head."""
+    """Embedding -> stacked Bi-LSTM -> batch norm -> GCN -> pooling head.
 
-    def __init__(self, config: TrainConfig, vocab: Vocabulary, rng: np.random.Generator | None = None):
-        if rng is None:
+    Without ``state`` the weights are drawn from ``rng`` (default: seeded with ``config.seed``):
+    the uniform embedding table, then one Gaussian and SVD per weight matrix in ``state_shapes``
+    order.  ``state`` (as ``snapshot()`` gives) draws nothing: each array is copied in once.
+    """
+
+    def __init__(self, config: TrainConfig, vocab: Vocabulary, rng: np.random.Generator | None = None,
+                 state: dict[str, np.ndarray] | None = None):
+        if rng is None and state is None:
             rng = np.random.default_rng(config.seed)
         self.config = config
         self.vocab = vocab
@@ -176,6 +182,8 @@ class Model:
         self.batch_norm = BatchNorm(self.bilstm.output_dim) if config.batch_norm else None
         self.gcn = GcnLayer(self.bilstm.output_dim, config.classes, rng)
         self.fc_head = FcHead(config.max_len, config.classes, rng) if config.pooling == "fc" else None
+        if state is not None:
+            self.load_snapshot(state)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         params = list(self.embedding.parameters())
@@ -242,12 +250,9 @@ class Model:
         return {name: arr.copy() for name, arr in self.state_arrays()}
 
     def load_snapshot(self, state: dict[str, np.ndarray]) -> None:
-        for name, p in self.named_parameters():
-            p.data = np.asarray(state[name], dtype=np.float64).copy()
-        if self.batch_norm is not None:
-            self.batch_norm.load_state(
-                state["batch_norm.running_mean"], state["batch_norm.running_var"]
-            )
+        """Copy each of ``state``'s arrays into the model's own, in place."""
+        for name, arr in self.state_arrays():
+            arr[...] = state[name]
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +499,11 @@ def state_shapes(config: TrainConfig, vocab_size: int):
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model; raises CheckpointError on any inconsistency."""
+    """Rebuild a model from the file's arrays; raises CheckpointError on any inconsistency.
+
+    Draws no initialisation: the checked arrays are read as views of the
+    file's bytes and each is copied once, into the model's own arrays.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -525,23 +534,19 @@ def load_checkpoint(path) -> Model:
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
 
-    payload = blob[prefix + header_len :]
+    offset = prefix + header_len
     expected = sum(math.prod(shape) for _, shape in shapes) * 8
-    if len(payload) != expected:
-        raise CheckpointError(f"{path} is truncated ({len(payload)} of {expected} payload bytes)")
+    if len(blob) - offset != expected:
+        raise CheckpointError(f"{path} is truncated ({len(blob) - offset} of {expected} payload bytes)")
 
     state: dict[str, np.ndarray] = {}
-    offset = 0
     for name, shape in shapes:
         count = math.prod(shape)
-        state[name] = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
+        state[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
         offset += count * 8
         if not np.isfinite(state[name]).all():
             raise CheckpointError(f"{path}: array {name} holds non-finite values")
-
-    model = Model(config, vocab, rng=np.random.default_rng(0))
-    model.load_snapshot(state)
-    return model
+    return Model(config, vocab, state=state)
 
 
 def predictions_to_lines(model: Model, records: list[Record]) -> list[str]:

@@ -246,7 +246,7 @@ class TestBatchNorm:
 
     def test_eval_uses_running_statistics(self):
         bn = BatchNorm(features=2)
-        bn.load_state(np.array([1.0, -1.0]), np.array([4.0, 0.25]))
+        bn.running_mean, bn.running_var = np.array([1.0, -1.0]), np.array([4.0, 0.25])
         out = bn(Tensor([[3.0, 0.0]])).data
         expected = (np.array([[3.0, 0.0]]) - [1.0, -1.0]) / np.sqrt(np.array([4.0, 0.25]) + bn.eps)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
@@ -265,7 +265,7 @@ class TestBatchNorm:
     def test_eval_gradients_match_finite_differences(self):
         rng = np.random.default_rng(37)
         bn = BatchNorm(features=3)
-        bn.load_state(rng.normal(size=3), rng.uniform(0.5, 2.0, size=3))
+        bn.running_mean, bn.running_var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
         x = rand_tensor(rng, (5, 3))
         cot = Tensor(rng.uniform(-1.0, 1.0, size=(5, 3)))
         err = check_gradients(lambda: sum_all(mul(bn(x), cot)), [x, bn.gamma, bn.beta])

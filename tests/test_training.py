@@ -388,7 +388,8 @@ class TestModelForward:
         config = tiny_config(lstm_layers=2)
         model = Model(config, build_vocab(train_recs), np.random.default_rng(config.seed))
         rng = np.random.default_rng(4)
-        model.batch_norm.load_state(rng.normal(size=10), rng.uniform(0.5, 2.0, size=10))
+        norm = model.batch_norm
+        norm.running_mean, norm.running_var = rng.normal(size=10), rng.uniform(0.5, 2.0, size=10)
         encoded = [model.encode(rec) for rec in train_recs]
         batch = model.forward_batch(encoded)
         assert batch.shape == (len(encoded), config.classes)
@@ -435,7 +436,8 @@ class TestModelForward:
         config = tiny_config(lstm_layers=2)
         model = Model(config, build_vocab(train_recs), np.random.default_rng(config.seed))
         rng = np.random.default_rng(6)
-        model.batch_norm.load_state(rng.normal(size=10), rng.uniform(0.5, 2.0, size=10))
+        norm = model.batch_norm
+        norm.running_mean, norm.running_var = rng.normal(size=10), rng.uniform(0.5, 2.0, size=10)
         records = (train_recs * 2)[:size]
         labels, probs = model.predict(records)
         assert probs.shape == (size, config.classes) and len(labels) == size
@@ -524,6 +526,54 @@ class TestCheckpoint:
         vocab = build_vocab(class_word_corpus(4, classes=7, rng=np.random.default_rng(0)))
         built = [(name, arr.shape) for name, arr in Model(config, vocab).state_arrays()]
         assert list(state_shapes(config, len(vocab))) == built
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("pooling", ["percentile", "average", "fc"])
+    def test_init_draws_table_then_one_gaussian_per_weight(self, pooling, layers):
+        # train()'s batch order and dropout masks follow the init on the same generator.
+        config = tiny_config(pooling=pooling, lstm_layers=layers)
+        vocab = build_vocab(class_word_corpus(4, classes=7, rng=np.random.default_rng(0)))
+        rng, by_hand = np.random.default_rng(11), np.random.default_rng(11)
+        Model(config, vocab, rng)
+        by_hand.uniform(-0.05, 0.05, size=(len(vocab), config.embedding_size))
+        for name, shape in state_shapes(config, len(vocab)):
+            if name.endswith((".w_x", ".w_h", "gcn.weight", "fc_head.weight")):
+                by_hand.standard_normal(shape)
+        assert rng.bit_generator.state == by_hand.bit_generator.state
+
+    @pytest.mark.parametrize("batch_norm", [True, False])
+    @pytest.mark.parametrize("pooling", ["percentile", "average", "fc"])
+    def test_load_draws_no_initialisation(self, trained, tmp_path, monkeypatch, pooling, batch_norm):
+        model, _, _ = trained
+        saved = Model(replace(model.config, pooling=pooling, batch_norm=batch_norm), model.vocab)
+        path = tmp_path / "model.sgcn"
+        save_checkpoint(saved, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew an initialisation")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded = load_checkpoint(path)
+        assert [name for name, _ in loaded.state_arrays()] == [name for name, _ in saved.state_arrays()]
+        for (name, want), (_, got) in zip(saved.state_arrays(), loaded.state_arrays()):
+            assert want.tobytes() == got.tobytes(), name
+
+    def test_loaded_arrays_are_owned_and_trainable(self, trained):
+        _, path, records = trained
+        loaded = load_checkpoint(path)
+        arrays = [arr for _, arr in loaded.state_arrays()]
+        for name, arr in loaded.state_arrays():
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.aligned, name
+            assert arr.flags.writeable and arr.flags.owndata, name
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+        optimizer = Adam(loaded.named_parameters())
+        logits = loaded.forward_batch([loaded.encode(rec) for rec in records[:4]])
+        backward(total_loss(logits, [rec.label for rec in records[:4]], loaded.penalized_weights(), 1e-8, 1e-8))
+        before = loaded.snapshot()
+        optimizer.step()
+        assert any(not np.array_equal(before[name], arr) for name, arr in loaded.state_arrays())
 
     def test_round_trip_bit_identical(self, trained):
         model, path, _ = trained
