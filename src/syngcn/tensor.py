@@ -2,10 +2,10 @@
 
 Every operation records its inputs and a backward rule on the output
 tensor, so a forward pass implicitly builds a computation graph (a fresh
-graph per pass; nothing is retained between passes).  Calling
-``backward`` on a scalar result walks that graph once in reverse
-topological order and accumulates gradients into every reachable tensor
-that requires them.
+graph per pass).  Calling ``backward`` on a scalar result walks that
+graph once in reverse topological order, accumulates gradients into
+every reachable tensor that requires them, and frees each op's record
+once its rule has run.  Inside ``no_grad()`` ops record nothing.
 
 Only generic ops live here: 2-D matmul, add, mul, relu, concatenation,
 row slicing and gathering, sum, and a stable softmax cross-entropy.
@@ -16,7 +16,8 @@ are single ops with hand-written rules, built on ``apply_op``.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,6 +93,20 @@ class Tensor:
         backward(self)
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block: every op's result is a constant."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -106,7 +121,7 @@ def apply_op(parents: Sequence[Tensor], data: np.ndarray, backward_rule: Backwar
     parents that do not require grad are ignored (may be None).
     """
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_rule
@@ -303,7 +318,10 @@ def backward(loss: Tensor) -> None:
 
     Gradients accumulate (+=) so that separate backward passes over
     shared leaves sum up; re-running backward on the same result tensor
-    is an error, since that would silently double-count.
+    is an error, since that would silently double-count.  Once a node's
+    rule has run, the node drops its parents and its rule, and with them
+    every array the rule held (the LSTM's gate activations and states,
+    for one); only the marker that refuses a replay stays.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise GraphError("backward requires a scalar tensor")
@@ -329,5 +347,5 @@ def backward(loss: Tensor) -> None:
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.data)
             parent.grad += np.asarray(g, dtype=np.float64).reshape(parent.shape)
-        node._consumed = True
+        node._consumed, node._parents, node._backward = True, (), None
     loss._consumed = True

@@ -231,8 +231,9 @@ class Model:
     def probabilities(self, encoded: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """Class probability rows [len(encoded), C], batch_size encoded records at a time."""
         probs, size = np.zeros((len(encoded), self.config.classes)), self.config.batch_size
-        for start in range(0, len(encoded), size):
-            probs[start : start + size] = T.softmax(self.forward_batch(encoded[start : start + size]).data)
+        with T.no_grad():
+            for start in range(0, len(encoded), size):
+                probs[start : start + size] = T.softmax(self.forward_batch(encoded[start : start + size]).data)
         return probs
 
     def predict(self, records: list[Record]) -> tuple[list[int], np.ndarray]:
@@ -266,7 +267,7 @@ def orthogonality_penalty(*weights: Tensor) -> Tensor:
     With D = gram - I (symmetric), the gradient is 4 W D for a tall W
     and 4 D W for a wide one.
     """
-    ws = [w.data for w in weights]  # Adam rebinds weight.data, so the rule's references stay valid
+    ws = [w.data for w in weights]  # the rule runs once, before Adam's step, and backward then drops it
     tall = [w.shape[0] >= w.shape[1] for w in ws]
     diffs = [(w.T @ w if t else w @ w.T) - np.eye(min(w.shape)) for w, t in zip(ws, tall)]
 
@@ -481,7 +482,7 @@ def save_checkpoint(model: Model, path) -> None:
         fh.write(struct.pack("<IQ", _FORMAT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
         for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)  # from the buffer: no copy of the table
 
 
 def state_shapes(config: TrainConfig, vocab_size: int):

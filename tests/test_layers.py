@@ -1,6 +1,8 @@
 """Layer tests: embeddings, Bi-LSTM, batch norm, GCN, pooling, init."""
 
+import inspect
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,7 @@ from syngcn.layers import (
     orthogonal_init,
     percentile_pool,
 )
-from syngcn.tensor import ShapeError, Tensor, backward, mul, sum_all
+from syngcn.tensor import GraphError, ShapeError, Tensor, backward, mul, sum_all
 
 import reference_lstm
 from helpers import check_gradients, rand_tensor
@@ -121,6 +123,22 @@ class TestLstmCell:
         out = cell.run(x)
         assert out.shape == (6, 3)
         assert out._parents == (x, *(p for _, p in cell.parameters()))
+
+    def test_backward_frees_the_arrays_only_the_rule_held(self):
+        rng = np.random.default_rng(3)
+        cell = LstmCell(4, 3, rng, name="cell")
+        out = cell.run(rand_tensor(rng, (6, 4)), lengths=[2, 4])
+        held = inspect.getclosurevars(out._backward).nonlocals
+        acts, cs = weakref.ref(held["acts"]), weakref.ref(held["cs"])
+        del held
+        loss = sum_all(mul(out, out))
+        backward(loss)
+        assert acts() is None and cs() is None
+        assert all(p.grad is not None for _, p in cell.parameters())
+        with pytest.raises(GraphError):
+            backward(loss)
+        with pytest.raises(GraphError):
+            backward(sum_all(out))
 
     def test_sigmoid_at_zero(self):
         assert _sigmoid(np.array(0.0)) == 0.5

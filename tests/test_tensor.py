@@ -17,6 +17,7 @@ from syngcn.tensor import (
     gather_rows,
     matmul,
     mul,
+    no_grad,
     relu,
     slice_rows,
     softmax,
@@ -238,6 +239,55 @@ class TestBackward:
         c = Tensor([2.0])
         backward(sum_all(mul(w, c)))
         assert c.grad is None
+
+    def test_consumed_nodes_drop_their_record(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        z = mul(w, w)
+        loss = sum_all(add(z, w))
+        backward(loss)
+        assert z._parents == () and z._backward is None
+        assert loss._parents == () and loss._backward is None
+        np.testing.assert_allclose(w.grad, [3.0, 5.0])
+
+    def test_replay_through_a_released_node_rejected(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        z = mul(w, w)
+        backward(sum_all(add(z, w)))
+        with pytest.raises(GraphError):
+            backward(sum_all(mul(add(z, w), w)))  # z deep inside a new graph
+        np.testing.assert_allclose(w.grad, [3.0, 5.0])
+
+
+class TestNoGrad:
+    def test_ops_record_nothing(self):
+        w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        with no_grad():
+            outs = [mul(w, w), matmul(w, Tensor(np.ones((3, 2)))), relu(w), sum_all(w)]
+        for out in outs:
+            assert not out.requires_grad and out._parents == () and out._backward is None
+        with pytest.raises(GraphError):
+            backward(outs[-1])
+
+    def test_values_equal_the_taped_ones(self):
+        w = Tensor([[1.5, -2.0], [0.5, 3.0]], requires_grad=True)
+        with no_grad():
+            plain = matmul(relu(w), w)
+        np.testing.assert_array_equal(plain.data, matmul(relu(w), w).data)
+
+    def test_flag_restored_after_exception(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(ShapeError):
+            with no_grad():
+                mul(w, Tensor([1.0, 2.0, 3.0]))
+        assert mul(w, w).requires_grad
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not mul(w, w).requires_grad
+        assert mul(w, w)._parents == (w, w)
 
 
 def _safe_relu_input(rng, shape):

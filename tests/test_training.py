@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -445,6 +446,39 @@ class TestModelForward:
             own = T.softmax(model.forward_batch([model.encode(rec)]).data[0])
             np.testing.assert_allclose(row, own, rtol=0, atol=1e-12)
             assert label == int(np.argmax(row))
+
+    @pytest.mark.parametrize("batch_norm", [True, False], ids=["norm", "no_norm"])
+    @pytest.mark.parametrize("pooling", ["percentile", "average", "fc"])
+    def test_probabilities_equal_the_taped_softmax(self, tiny_corpus, pooling, batch_norm):
+        train_recs, _ = tiny_corpus
+        config = tiny_config(lstm_layers=2, pooling=pooling, batch_norm=batch_norm, batch_size=3)
+        model = Model(config, build_vocab(train_recs), np.random.default_rng(config.seed))
+        if batch_norm:
+            rng = np.random.default_rng(4)
+            model.batch_norm.running_mean, model.batch_norm.running_var = rng.normal(size=10), rng.uniform(0.5, 2, 10)
+        encoded = [model.encode(rec) for rec in train_recs]
+        taped = [model.forward_batch(encoded[start : start + 3]) for start in range(0, len(encoded), 3)]
+        assert all(logits.requires_grad for logits in taped)
+        expected = np.concatenate([T.softmax(logits.data) for logits in taped])
+        np.testing.assert_array_equal(model.probabilities(encoded), expected)
+
+    def test_probabilities_peak_stays_under_four_cells_of_tape(self):
+        # Each LSTM cell's rule holds acts [n, 4h], hs and cs [n, h].  A
+        # tape of the 2-layer Bi-LSTM holds four such sets; without a tape
+        # the peak is one cell's working set, about 2.5 sets.  NumPy reports
+        # its buffers to tracemalloc, so the figure repeats exactly.
+        records = _random_records(np.random.default_rng(11), [30] * 8)
+        config = tiny_config(embedding_size=16, hidden_neurons=32, lstm_layers=2, batch_size=8, max_len=30)
+        model = Model(config, build_vocab(records), np.random.default_rng(0))
+        encoded = [model.encode(rec) for rec in records]
+        one_cell = 6 * 8 * 30 * 32 * 8  # bytes
+        tracemalloc.start()
+        try:
+            model.probabilities(encoded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * one_cell
 
     def test_probabilities_normalized(self, tiny_corpus):
         train_recs, _ = tiny_corpus
