@@ -18,6 +18,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import ShapeError, Tensor
 
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch weight in the running estimates; floor added to the variance
+SVD_TRIES = 3  # fresh Gaussian samples orthogonal_init tries before it gives up
+
 
 class EmbeddingTable:
     """Trainable |V| x d word embeddings; row 0 is the all-zero padding row.
@@ -69,11 +72,6 @@ class LstmCell:
             yield f"{self.name}.{gate}.w_h", self.w_h[gate]
             yield f"{self.name}.{gate}.bias", self.bias[gate]
 
-    def weight_matrices(self):
-        for gate in self.GATES:
-            yield self.w_x[gate]
-            yield self.w_h[gate]
-
     def run(self, x: Tensor, reverse: bool = False, lengths=None) -> Tensor:
         """Hidden states [n, hidden] for the rows of x [n, input_dim], in row order.
 
@@ -82,15 +80,14 @@ class LstmCell:
         """
         hid, n = self.hidden, x.shape[0]
         bounds = _segment_bounds(x, lengths)
-        params = [p for _, p in self.parameters()]  # (w_x, w_h, bias) per gate
         # The rule stacks the per-gate arrays again: a stacked copy held by
         # every tape op would pin weight-sized arrays per batch.
-        w_x, w_h = [p.data for p in params[0::3]], [p.data for p in params[1::3]]
+        w_x, w_h, bias = ([part[gate].data for gate in self.GATES] for part in (self.w_x, self.w_h, self.bias))
         # Reversing all rows reverses the order of the sequences and each
         # sequence in place, so the reverse pass is a forward pass.
         xs = x.data[::-1] if reverse else x.data
         bounds = [n - b for b in reversed(bounds)] if reverse else bounds
-        z_x = xs @ np.hstack(w_x) + np.hstack([p.data for p in params[2::3]])
+        z_x = xs @ np.hstack(w_x) + np.hstack(bias)
         w_h_all = np.hstack(w_h)
         acts = np.empty((n, 4 * hid))  # sigmoid(i, f, o) and tanh(g) per step
         hs, cs = np.empty((n, hid)), np.empty((n, hid))  # row t: state after step t
@@ -99,7 +96,7 @@ class LstmCell:
             for t in range(start, stop):
                 z = z_x[t] + h @ w_h_all
                 acts[t] = np.concatenate([_sigmoid(z[: 3 * hid]), np.tanh(z[3 * hid :])])
-                i, f, o, g = np.split(acts[t], 4)
+                i, f, o, g = acts[t].reshape(4, hid)
                 c = cs[t] = f * c + i * g
                 h = hs[t] = o * np.tanh(c)
 
@@ -110,21 +107,22 @@ class LstmCell:
             h_prev, c_prev = np.roll(hs, 1, axis=0), np.roll(cs, 1, axis=0)
             h_prev[bounds[:-1]] = c_prev[bounds[:-1]] = 0.0
             i, f, o, g = np.split(acts, 4, axis=1)
-            # Rows start as d(activation)/d(pre-activation) of each gate.
+            # Rows start as d(activation)/d(pre-activation); a step multiplies in dc or dh times a factor.
             dz = np.hstack([acts[:, : 3 * hid] * (1.0 - acts[:, : 3 * hid]), 1.0 - g * g])
+            factors, dtanh_c = np.hstack([g, c_prev, tanh_c, i]), 1.0 - tanh_c**2
             for start, stop in zip(bounds, bounds[1:]):
                 dh_next = dc_next = np.zeros(hid)
                 for t in range(stop - 1, start - 1, -1):
                     dh = grad[t] + dh_next
-                    dc = dh * o[t] * (1.0 - tanh_c[t] ** 2) + dc_next
-                    dz[t] *= np.concatenate([dc * g[t], dc * c_prev[t], dh * tanh_c[t], dc * i[t]])
+                    dc = dh * o[t] * dtanh_c[t] + dc_next
+                    dz[t] *= np.concatenate([dc, dc, dh, dc]) * factors[t]
                     dh_next, dc_next = dz[t] @ w_h_t, dc * f[t]
             dx = dz @ np.hstack(w_x).T
             dw_x, dw_h, db = xs.T @ dz, h_prev.T @ dz, dz.sum(axis=0, keepdims=True)
             per_gate = [d[:, k * hid : (k + 1) * hid] for k in range(4) for d in (dw_x, dw_h, db)]
-            return (dx[::-1] if reverse else dx, *per_gate)
+            return (dx[::-1] if reverse else dx, *per_gate)  # per_gate in parameters() order
 
-        return T.apply_op((x, *params), (hs[::-1] if reverse else hs).copy(), rule)
+        return T.apply_op((x, *(p for _, p in self.parameters())), (hs[::-1] if reverse else hs).copy(), rule)
 
 
 def _segment_bounds(x: Tensor, lengths=None) -> list[int]:
@@ -139,7 +137,7 @@ def _segment_bounds(x: Tensor, lengths=None) -> list[int]:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Stable in both tails: exp of a non-positive argument only.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class BiLstm:
@@ -174,10 +172,8 @@ class BiLstm:
             yield from fwd.parameters()
             yield from bwd.parameters()
 
-    def weight_matrices(self):
-        for fwd, bwd in self.cells:
-            yield from fwd.weight_matrices()
-            yield from bwd.weight_matrices()
+    def weight_matrices(self):  # in parameters() order, which the penalties sum in
+        return (p for name, p in self.parameters() if name.endswith((".w_x", ".w_h")))
 
     def __call__(
         self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None, lengths=None
@@ -205,13 +201,11 @@ class BatchNorm:
     a fixed affine map.
     """
 
-    def __init__(self, features: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, features: int):
         self.gamma = Tensor(np.ones(features), requires_grad=True)
         self.beta = Tensor(np.zeros(features), requires_grad=True)
         self.running_mean = np.zeros(features)
         self.running_var = np.ones(features)
-        self.momentum = momentum
-        self.eps = eps
 
     def parameters(self):
         yield "batch_norm.gamma", self.gamma
@@ -228,9 +222,9 @@ class BatchNorm:
         if training:
             mean, var, n = x.data.mean(axis=0), x.data.var(axis=0), x.shape[0]
             unbiased = var * (n / (n - 1)) if n > 1 else var
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+            self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+            self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = (x.data - mean) * inv_std
 
         def rule(g):
@@ -340,7 +334,7 @@ class FcHead:
         return _per_record((z, self.weight, self.bias), lengths, flat @ w + self.bias.data, rule)
 
 
-def orthogonal_init(rows: int, cols: int, rng: np.random.Generator | None, max_tries: int = 3) -> np.ndarray:
+def orthogonal_init(rows: int, cols: int, rng: np.random.Generator | None) -> np.ndarray:
     """Random matrix with orthonormal columns (rows, if the matrix is wide).
 
     Draws a Gaussian matrix and keeps the orthogonal factor of its thin
@@ -352,11 +346,11 @@ def orthogonal_init(rows: int, cols: int, rng: np.random.Generator | None, max_t
         raise ValueError(f"invalid shape ({rows}, {cols})")
     if rng is None:
         return np.zeros((rows, cols))
-    for _ in range(max_tries):
+    for _ in range(SVD_TRIES):
         m = rng.standard_normal((rows, cols))
         try:
             u, _, vt = np.linalg.svd(m, full_matrices=False)
         except np.linalg.LinAlgError:
             continue
         return u if rows >= cols else vt
-    raise RuntimeError(f"SVD failed {max_tries} times for shape ({rows}, {cols})")
+    raise RuntimeError(f"SVD failed {SVD_TRIES} times for shape ({rows}, {cols})")

@@ -276,8 +276,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ValueError("softmax_cross_entropy requires finite logits")
     picked = np.arange(len(rows)), labels
     m = rows.max(axis=1)
-    loss = (m + np.log(np.exp(rows - m[:, None]).sum(axis=1)) - rows[picked]).sum()
-    probs = softmax(rows)
+    e = np.exp(rows - m[:, None])
+    loss = (m + np.log(e.sum(axis=1)) - rows[picked]).sum()
+    probs = e / e.sum(axis=1, keepdims=True)
 
     def rule(g):
         grad = probs.copy()

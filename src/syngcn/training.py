@@ -18,8 +18,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -57,6 +59,7 @@ POOLING_MODES = ("percentile", "average", "fc")
 ADJACENCY_MODES = ("syntax", "all_ones")
 
 DEFAULT_SEED = 42
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and the update's denominator floor
 
 
 def _parse_bool(raw: str) -> bool:
@@ -164,14 +167,15 @@ def load_config(path) -> TrainConfig:
 class Model:
     """Embedding -> stacked Bi-LSTM -> batch norm -> GCN -> pooling head.
 
-    Without ``state`` the weights are drawn from ``rng`` (default: seeded with ``config.seed``):
+    Without ``fill`` the weights are drawn from ``rng`` (default: seeded with ``config.seed``):
     the uniform embedding table, then one Gaussian and SVD per weight matrix in ``state_shapes``
-    order.  ``state`` (as ``snapshot()`` gives) draws nothing: each array is copied in once.
+    order.  ``fill(name, array)`` draws nothing: it writes each of ``state_arrays()`` in place,
+    in order, over zeros (ones for the running variance).
     """
 
     def __init__(self, config: TrainConfig, vocab: Vocabulary, rng: np.random.Generator | None = None,
-                 state: dict[str, np.ndarray] | None = None):
-        if rng is None and state is None:
+                 fill: Callable[[str, np.ndarray], None] | None = None):
+        if rng is None and fill is None:
             rng = np.random.default_rng(config.seed)
         self.config = config
         self.vocab = vocab
@@ -182,8 +186,9 @@ class Model:
         self.batch_norm = BatchNorm(self.bilstm.output_dim) if config.batch_norm else None
         self.gcn = GcnLayer(self.bilstm.output_dim, config.classes, rng)
         self.fc_head = FcHead(config.max_len, config.classes, rng) if config.pooling == "fc" else None
-        if state is not None:
-            self.load_snapshot(state)
+        if fill is not None:
+            for name, arr in self.state_arrays():
+                fill(name, arr)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         params = list(self.embedding.parameters())
@@ -313,19 +318,10 @@ def total_loss(
 class Adam:
     """Adam with decoupled weight decay (applied directly to the weights)."""
 
-    def __init__(
-        self,
-        named_params: list[tuple[str, Tensor]],
-        lr: float = 0.001,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 0.001, weight_decay: float = 0.0):
         self.named_params = list(named_params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
@@ -340,11 +336,11 @@ class Adam:
                 raise OptimizationError(f"non-finite gradient in {name}")
             if self.weight_decay > 0:
                 p.data = p.data * (1.0 - self.lr * self.weight_decay)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1**self.t)
-            v_hat = self.v[name] / (1 - self.beta2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[name] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[name] / (1 - ADAM_BETA2**self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +372,7 @@ def _epoch_entry(epoch: int, loss: float, train_report: EvalReport, dev_report: 
     }
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # divergence ends in an OptimizationError
 def train(
     config: TrainConfig,
     train_records: list[Record],
@@ -417,8 +414,11 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
+            where = f"epoch {epoch}, batch {start // config.batch_size + 1}"
             model.zero_grad()
             logits = model.forward_batch([encoded[i] for i in idx], training=True, rng=rng)
+            if not np.isfinite(logits.data).all():
+                raise OptimizationError(f"{where}: non-finite logits")
             loss = total_loss(
                 logits,
                 [labels[i] for i in idx],
@@ -429,12 +429,18 @@ def train(
             T.backward(loss)
             # The padding embedding row must never move.
             model.embedding.table.grad[0] = 0.0
-            optimizer.step()
+            try:
+                optimizer.step()
+            except OptimizationError as exc:
+                raise OptimizationError(f"{where}: {exc}") from None
             epoch_loss += loss.item() * len(idx)
         epoch_loss /= len(train_records)
 
-        train_report = evaluate(model.probabilities(encoded).argmax(axis=1).tolist(), labels, config.classes)
-        dev_report = evaluate(model.probabilities(dev_encoded).argmax(axis=1).tolist(), gold_dev, config.classes)
+        train_probs, dev_probs = model.probabilities(encoded), model.probabilities(dev_encoded)
+        if not (np.isfinite(train_probs).all() and np.isfinite(dev_probs).all()):
+            raise OptimizationError(f"epoch {epoch}: non-finite class scores after the last batch")
+        train_report = evaluate(train_probs.argmax(axis=1).tolist(), labels, config.classes)
+        dev_report = evaluate(dev_probs.argmax(axis=1).tolist(), gold_dev, config.classes)
         history.append(_epoch_entry(epoch, epoch_loss, train_report, dev_report))
         if log is not None:
             log(history[-1])
@@ -502,23 +508,29 @@ def state_shapes(config: TrainConfig, vocab_size: int):
 def load_checkpoint(path) -> Model:
     """Rebuild a model from the file's arrays; raises CheckpointError on any inconsistency.
 
-    Draws no initialisation: the checked arrays are read as views of the
-    file's bytes and each is copied once, into the model's own arrays.
+    Draws no initialisation and holds no copy of the payload: once the header
+    and the file size match, each array is read from the file straight into
+    the model's own array.
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_checkpoint(fh, path)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+
+
+def _read_checkpoint(fh, path) -> Model:
     prefix = len(_MAGIC) + struct.calcsize("<IQ")
-    if len(blob) < prefix or blob[: len(_MAGIC)] != _MAGIC:
+    head = fh.read(prefix)
+    if len(head) < prefix or head[: len(_MAGIC)] != _MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint file")
-    version, header_len = struct.unpack("<IQ", blob[len(_MAGIC) : prefix])
+    version, header_len = struct.unpack("<IQ", head[len(_MAGIC) :])
     if version != _FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version} (expected {_FORMAT_VERSION})")
-    if len(blob) < prefix + header_len:
+    payload = os.fstat(fh.fileno()).st_size - prefix - header_len
+    if payload < 0:
         raise CheckpointError(f"{path} is truncated (header)")
-    header = parse_json(blob[prefix : prefix + header_len], CheckpointError, f"{path} header")
+    header = parse_json(fh.read(header_len), CheckpointError, f"{path} header")
     try:
         config = TrainConfig.from_dict(header["config"])
         vocab = Vocabulary.from_words(header["vocab_words"])
@@ -535,32 +547,24 @@ def load_checkpoint(path) -> Model:
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
 
-    offset = prefix + header_len
     expected = sum(math.prod(shape) for _, shape in shapes) * 8
-    if len(blob) - offset != expected:
-        raise CheckpointError(f"{path} is truncated ({len(blob) - offset} of {expected} payload bytes)")
+    if payload != expected:
+        raise CheckpointError(f"{path} is truncated ({payload} of {expected} payload bytes)")
 
-    state: dict[str, np.ndarray] = {}
-    for name, shape in shapes:
-        count = math.prod(shape)
-        state[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += count * 8
-        if not np.isfinite(state[name]).all():
+    def read_into(name: str, arr: np.ndarray) -> None:
+        if fh.readinto(arr) != arr.nbytes:
+            raise CheckpointError(f"{path} is truncated (array {name})")
+        if not np.little_endian:  # the payload is little-endian
+            arr.byteswap(inplace=True)
+        if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: array {name} holds non-finite values")
-    return Model(config, vocab, state=state)
+
+    return Model(config, vocab, fill=read_into)
 
 
 def predictions_to_lines(model: Model, records: list[Record]) -> list[str]:
     """JSON line per record: label name, id, and class probabilities."""
     names = label_names(model.config.classes)
     labels, probs = model.predict(records)
-    lines = []
-    for label, p in zip(labels, probs):
-        lines.append(
-            json.dumps(
-                {"label": names[label], "label_id": label, "probabilities": [float(v) for v in p]},
-                sort_keys=True,
-                allow_nan=False,
-            )
-        )
-    return lines
+    return [json.dumps({"label": names[label], "label_id": label, "probabilities": [float(v) for v in p]},
+                       sort_keys=True, allow_nan=False) for label, p in zip(labels, probs)]

@@ -4,8 +4,11 @@ import builtins
 import errno
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from syngcn.cli import main
 from syngcn.corpus import save_corpus
 from syngcn.synthetic import class_word_corpus
 from syngcn.training import load_checkpoint, load_history, save_checkpoint
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # 100 000 nested arrays: more than the JSON decoder's recursion limit allows.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -128,6 +133,18 @@ class TestTrain:
         )
         assert code == 1
         assert capsys.readouterr().err
+
+    def test_diverging_run_fails_with_training_message(self, workspace, tmp_path):
+        # In a child process, so that NumPy warnings would reach stderr as a user sees them.
+        proc = subprocess.run(
+            [sys.executable, "-m", "syngcn", "train", "--train", str(workspace["corpus"]),
+             "--checkpoint", str(tmp_path / "x.sgcn"), *TINY, "--set", "learning_rate=1e300"],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("syngcn train: training: epoch "), proc.stderr
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.sgcn").exists()
 
 
 class TestEval:

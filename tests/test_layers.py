@@ -11,6 +11,7 @@ import pytest
 from syngcn import tensor as T
 from syngcn.corpus import Vocabulary
 from syngcn.layers import (
+    BN_EPS,
     BatchNorm,
     BiLstm,
     EmbeddingTable,
@@ -235,6 +236,17 @@ class TestBiLstm:
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_weight_matrices_are_the_w_x_and_w_h_parameters_in_order(self, layers):
+        # The orthogonality penalty sums its floats in this order, so its bits depend on it.
+        net = BiLstm(input_dim=3, hidden=4, layers=layers, dropout=0.0, rng=np.random.default_rng(3))
+        by_name = [p for name, p in net.parameters() if name.endswith((".w_x", ".w_h"))]
+        by_cell = [w[gate] for cells in net.cells for cell in cells for gate in LstmCell.GATES
+                   for w in (cell.w_x, cell.w_h)]
+        got = list(net.weight_matrices())
+        assert len(got) == 16 * layers
+        assert [id(p) for p in got] == [id(p) for p in by_name] == [id(p) for p in by_cell]
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(19)
         net = BiLstm(input_dim=4, hidden=5, layers=2, dropout=0.0, rng=rng)
@@ -256,7 +268,7 @@ class TestBatchNorm:
 
     def test_running_statistics_update(self):
         rng = np.random.default_rng(29)
-        bn = BatchNorm(features=3, momentum=0.1)
+        bn = BatchNorm(features=3)
         x = rng.normal(1.0, 2.0, size=(50, 3))
         bn(Tensor(x), training=True)
         np.testing.assert_allclose(bn.running_mean, 0.1 * x.mean(axis=0), atol=1e-12)
@@ -266,7 +278,7 @@ class TestBatchNorm:
         bn = BatchNorm(features=2)
         bn.running_mean, bn.running_var = np.array([1.0, -1.0]), np.array([4.0, 0.25])
         out = bn(Tensor([[3.0, 0.0]])).data
-        expected = (np.array([[3.0, 0.0]]) - [1.0, -1.0]) / np.sqrt(np.array([4.0, 0.25]) + bn.eps)
+        expected = (np.array([[3.0, 0.0]]) - [1.0, -1.0]) / np.sqrt(np.array([4.0, 0.25]) + BN_EPS)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
         np.testing.assert_array_equal(bn.running_mean, [1.0, -1.0])  # eval never updates
 

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from syngcn import tensor as T
-from syngcn.corpus import Record, build_vocab
+from syngcn.corpus import Record, Vocabulary, build_vocab
 from syngcn.layers import orthogonal_init
 from syngcn.synthetic import class_word_corpus
 from syngcn.tensor import Tensor, backward, mul, softmax_cross_entropy, sum_all
@@ -363,6 +364,22 @@ class TestTrainLoop:
             result = train(tiny_config(pooling=pooling, epochs=1), train_recs, dev_recs)
             assert math.isfinite(result.history[0]["train_loss"])
 
+    @pytest.mark.parametrize(
+        "overrides,records,message",
+        [
+            (dict(learning_rate=1e300), 8, r"epoch 1, batch 2: non-finite logits"),
+            (dict(lambda_orth=1e308), 8, r"epoch 1, batch 1: non-finite gradient in bilstm\.0\.fwd\.input\.w_x"),
+            (dict(learning_rate=1e300, epochs=1), 4, r"epoch 1: non-finite class scores after the last batch"),
+        ],
+        ids=["logits", "adam", "last-batch"],
+    )
+    def test_divergence_names_epoch_and_batch_without_warnings(self, tiny_corpus, overrides, records, message):
+        train_recs, dev_recs = tiny_corpus
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OptimizationError, match=f"^{message}$"):
+                train(tiny_config(**overrides), train_recs[:records], dev_recs)
+
     def test_returned_model_holds_no_gradients(self, tiny_corpus):
         # The last batch's gradients were taken at other weights than the restored best epoch's.
         train_recs, dev_recs = tiny_corpus
@@ -608,6 +625,25 @@ class TestCheckpoint:
         before = loaded.snapshot()
         optimizer.step()
         assert any(not np.array_equal(before[name], arr) for name, arr in loaded.state_arrays())
+
+    def test_load_holds_no_copy_of_the_payload(self, tmp_path):
+        # Each array is read straight into the model's own: the peak is the model, the
+        # header's objects and one finiteness mask, not the model twice.
+        config = tiny_config(embedding_size=64, hidden_neurons=64, lstm_layers=2)
+        saved = Model(config, Vocabulary.from_words([f"word{i}" for i in range(500)]))
+        path = tmp_path / "model.sgcn"
+        save_checkpoint(saved, path)
+        model_bytes = sum(arr.nbytes for _, arr in saved.state_arrays())
+        header_len = struct.unpack("<IQ", path.read_bytes()[4:16])[1]
+        del saved
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(arr.nbytes for _, arr in loaded.state_arrays()) == model_bytes
+        assert peak < 1.3 * (model_bytes + header_len)
 
     def test_round_trip_bit_identical(self, trained):
         model, path, _ = trained
