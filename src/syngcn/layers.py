@@ -48,8 +48,12 @@ class LstmCell:
     Gates: input (i), forget (f), output (o), candidate (g).  The forget
     bias starts at 1 so early training does not flush the cell state.
     ``run`` is one tape op for a packed batch of sequences: the gate blocks
-    sit side by side, one input projection covers every row, and the
-    backward rule is hand-written backpropagation through time.
+    sit side by side and one input projection covers every row.  The
+    forward advances all sequences in lockstep, longest first, one
+    ``[k_t, hidden]`` product per time step t for the k_t sequences still
+    running (the ``batch_sizes`` layout of packed sequences).  The backward
+    rule is hand-written backpropagation through time, row by row within
+    each sequence.
     """
 
     GATES = ("input", "forget", "output", "candidate")
@@ -89,16 +93,24 @@ class LstmCell:
         bounds = [n - b for b in reversed(bounds)] if reverse else bounds
         z_x = xs @ np.hstack(w_x) + np.hstack(bias)
         w_h_all = np.hstack(w_h)
-        acts = np.empty((n, 4 * hid))  # sigmoid(i, f, o) and tanh(g) per step
-        hs, cs = np.empty((n, hid)), np.empty((n, hid))  # row t: state after step t
-        for start, stop in zip(bounds, bounds[1:]):
-            h = c = np.zeros(hid)
-            for t in range(start, stop):
-                z = z_x[t] + h @ w_h_all
-                acts[t] = np.concatenate([_sigmoid(z[: 3 * hid]), np.tanh(z[3 * hid :])])
-                i, f, o, g = acts[t].reshape(4, hid)
-                c = cs[t] = f * c + i * g
-                h = hs[t] = o * np.tanh(c)
+        acts = np.empty((n, 4 * hid))  # sigmoid(i, f, o) and tanh(g) per row
+        hs, cs = np.empty((n, hid)), np.empty((n, hid))  # row t: state after row t
+        # Lockstep: longest sequence first, so at step t the sequences still
+        # running are a prefix of that order, and their states the first
+        # k_t rows of h and c.  One product per step covers all of them.
+        sizes = np.diff(bounds)
+        order = np.argsort(-sizes, kind="stable")
+        starts, sizes = np.asarray(bounds[:-1])[order], sizes[order]
+        active = np.count_nonzero(sizes[:, None] > np.arange(sizes[0]), axis=0)  # k_t per step t
+        h = c = np.zeros((len(order), hid))
+        for t, k in enumerate(active.tolist()):
+            rows = starts[:k] + t
+            z = z_x[rows] + h[:k] @ w_h_all
+            a = np.concatenate([_sigmoid(z[:, : 3 * hid]), np.tanh(z[:, 3 * hid :])], axis=1)
+            i, f, o, g = a.reshape(k, 4, hid).swapaxes(0, 1)
+            c = f * c[:k] + i * g
+            h = o * np.tanh(c)
+            acts[rows], cs[rows], hs[rows] = a, c, h
 
         def rule(grad):
             grad = grad[::-1] if reverse else grad
@@ -144,10 +156,11 @@ class BiLstm:
     """Stacked bidirectional LSTM over consecutive sequences packed in [n, d].
 
     Each layer runs one forward and one backward cell over all sequences
-    (one tape op each) and places their [n, hidden] state matrices side by
-    side, so the output is [n, 2*hidden].  Inverted dropout (training only)
-    follows every layer; its masks are drawn sequence by sequence, then layer
-    by layer, as if each sequence ran on its own.
+    (one tape op each, all sequences advancing together) and places their
+    [n, hidden] state matrices side by side, so the output is [n, 2*hidden].
+    Inverted dropout (training only) follows every layer; its masks are drawn
+    sequence by sequence, then layer by layer, as if each sequence ran on its
+    own.
     """
 
     def __init__(self, input_dim: int, hidden: int, layers: int, dropout: float, rng: np.random.Generator | None):

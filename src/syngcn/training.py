@@ -179,13 +179,21 @@ class Model:
             rng = np.random.default_rng(config.seed)
         self.config = config
         self.vocab = vocab
-        self.embedding = EmbeddingTable(len(vocab), config.embedding_size, rng)
-        self.bilstm = BiLstm(
-            config.embedding_size, config.hidden_neurons, config.lstm_layers, config.dropout, rng
-        )
-        self.batch_norm = BatchNorm(self.bilstm.output_dim) if config.batch_norm else None
-        self.gcn = GcnLayer(self.bilstm.output_dim, config.classes, rng)
-        self.fc_head = FcHead(config.max_len, config.classes, rng) if config.pooling == "fc" else None
+        try:
+            self.embedding = EmbeddingTable(len(vocab), config.embedding_size, rng)
+            self.bilstm = BiLstm(
+                config.embedding_size, config.hidden_neurons, config.lstm_layers, config.dropout, rng
+            )
+            self.batch_norm = BatchNorm(self.bilstm.output_dim) if config.batch_norm else None
+            self.gcn = GcnLayer(self.bilstm.output_dim, config.classes, rng)
+            self.fc_head = FcHead(config.max_len, config.classes, rng) if config.pooling == "fc" else None
+        except MemoryError:
+            fields = ("embedding_size", "hidden_neurons", "lstm_layers", "classes", "max_len", "pooling")
+            sizes = ", ".join(f"{f}={getattr(config, f)}" for f in fields)
+            raise ConfigError(
+                f"cannot allocate the model: {sizes} and {len(vocab)} words"
+                f" imply {state_bytes(config, len(vocab)):,} bytes of weights"
+            ) from None
         if fill is not None:
             for name, arr in self.state_arrays():
                 fill(name, arr)
@@ -503,6 +511,19 @@ def state_shapes(config: TrainConfig, vocab_size: int):
     fc = [("fc_head.weight", (config.max_len * c, c)), ("fc_head.bias", (c,))]
     norm, fc = (norm if config.batch_norm else []), (fc if config.pooling == "fc" else [])
     yield from norm[:2] + [("gcn.weight", config.gcn_shape)] + fc + norm[2:]
+
+
+def state_bytes(config: TrainConfig, vocab_size: int) -> int:
+    """Bytes of the arrays state_shapes lists, in closed form: a billion layers cost no walk."""
+    d, h, c = config.embedding_size, config.hidden_neurons, config.classes
+
+    def layer(inputs):  # its two cells
+        return 2 * len(LstmCell.GATES) * (inputs * h + h * h + h)
+
+    floats = vocab_size * d + layer(d) + (config.lstm_layers - 1) * layer(2 * h) + 2 * h * c
+    floats += 4 * 2 * h if config.batch_norm else 0
+    floats += config.max_len * c * c + c if config.pooling == "fc" else 0
+    return 8 * floats
 
 
 def load_checkpoint(path) -> Model:

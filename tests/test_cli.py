@@ -146,6 +146,28 @@ class TestTrain:
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "x.sgcn").exists()
 
+    @pytest.mark.parametrize("sizes", [["embedding_size=1000000000"], ["pooling=fc", "max_len=1000000000"]],
+                             ids=["embedding", "fc_head"])
+    def test_oversized_model_fails_with_config_message(self, workspace, tmp_path, sizes):
+        # main() in a child whose address space is capped at 2 GiB: the weights cannot be allocated,
+        # and nothing the test does can take memory from the rest of the machine.
+        script = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from syngcn.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        sets = [arg for size in sizes for arg in ("--set", size)]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "train", "--train", str(workspace["corpus"]),
+             "--checkpoint", str(tmp_path / "x.sgcn"), *TINY, *sets],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("syngcn train: config: cannot allocate the model: "), proc.stderr
+        assert sizes[-1] in proc.stderr and " bytes of weights" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.sgcn").exists()
+
 
 class TestEval:
     def test_table_rows_and_regression_vs_history(self, workspace, tmp_path, capsys):

@@ -32,6 +32,7 @@ from syngcn.training import (
     predictions_to_lines,
     save_checkpoint,
     save_history,
+    state_bytes,
     state_shapes,
     total_loss,
     train,
@@ -575,8 +576,9 @@ class TestCheckpoint:
     def test_state_shapes_match_a_built_model(self, pooling, batch_norm, layers):
         config = tiny_config(pooling=pooling, batch_norm=batch_norm, lstm_layers=layers)
         vocab = build_vocab(class_word_corpus(4, classes=7, rng=np.random.default_rng(0)))
-        built = [(name, arr.shape) for name, arr in Model(config, vocab).state_arrays()]
-        assert list(state_shapes(config, len(vocab))) == built
+        arrays = list(Model(config, vocab).state_arrays())
+        assert list(state_shapes(config, len(vocab))) == [(name, arr.shape) for name, arr in arrays]
+        assert state_bytes(config, len(vocab)) == sum(arr.nbytes for _, arr in arrays)
 
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("pooling", ["percentile", "average", "fc"])
