@@ -47,6 +47,16 @@ def _fail(sub: str, exc: Exception) -> int:
     return 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file mirroring TrainConfig fields")
     parser.add_argument("--seed", type=int, help="RNG seed (default 42)")
@@ -217,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--corpus", required=True)
     p_graph.add_argument("--index", type=int, default=0, help="record index (default 0)")
     p_graph.add_argument("--mode", choices=["syntax", "all_ones"])
-    p_graph.add_argument("--max-len", type=int, default=MAX_TOKENS)
+    p_graph.add_argument("--max-len", type=_positive_int, default=MAX_TOKENS)
     p_graph.set_defaults(func=_cmd_inspect_graph)
 
     p_sweep = sub.add_parser("sweep", help="train+eval over a grid of one config field")

@@ -145,6 +145,8 @@ def load_corpus(
     """
     if schema not in ("train", "eval"):
         raise ValueError(f"unknown schema {schema!r}")
+    if max_len < 1:
+        raise ValueError(f"max_len must be positive, got {max_len}")
     report = LoadReport(path=str(path))
     records: list[Record] = []
     with open(path, "rb") as fh:

@@ -48,12 +48,12 @@ class LstmCell:
     Gates: input (i), forget (f), output (o), candidate (g).  The forget
     bias starts at 1 so early training does not flush the cell state.
     ``run`` is one tape op for a packed batch of sequences: the gate blocks
-    sit side by side and one input projection covers every row.  The
-    forward advances all sequences in lockstep, longest first, one
-    ``[k_t, hidden]`` product per time step t for the k_t sequences still
-    running (the ``batch_sizes`` layout of packed sequences).  The backward
-    rule is hand-written backpropagation through time, row by row within
-    each sequence.
+    sit side by side and one input projection covers every row.  One list
+    of time steps drives both passes: step t holds the rows of the k_t
+    sequences still running, longest first (the ``batch_sizes`` layout of
+    packed sequences).  The forward takes one ``[k_t, hidden]`` product per
+    step; the backward rule, hand-written backpropagation through time,
+    walks the steps in reverse with one ``[k_t, 4 * hidden]`` product each.
     """
 
     GATES = ("input", "forget", "output", "candidate")
@@ -87,24 +87,22 @@ class LstmCell:
         # The rule stacks the per-gate arrays again: a stacked copy held by
         # every tape op would pin weight-sized arrays per batch.
         w_x, w_h, bias = ([part[gate].data for gate in self.GATES] for part in (self.w_x, self.w_h, self.bias))
-        # Reversing all rows reverses the order of the sequences and each
-        # sequence in place, so the reverse pass is a forward pass.
-        xs = x.data[::-1] if reverse else x.data
-        bounds = [n - b for b in reversed(bounds)] if reverse else bounds
-        z_x = xs @ np.hstack(w_x) + np.hstack(bias)
+        z_x = x.data @ np.hstack(w_x) + np.hstack(bias)
         w_h_all = np.hstack(w_h)
         acts = np.empty((n, 4 * hid))  # sigmoid(i, f, o) and tanh(g) per row
-        hs, cs = np.empty((n, hid)), np.empty((n, hid))  # row t: state after row t
+        hs, cs = np.empty((n, hid)), np.empty((n, hid))  # row r: state after row r
         # Lockstep: longest sequence first, so at step t the sequences still
-        # running are a prefix of that order, and their states the first
-        # k_t rows of h and c.  One product per step covers all of them.
+        # running are a prefix of that order, and their states the first k_t
+        # rows of h and c.  steps[t] holds their rows; a reverse run starts at
+        # each sequence's last row and walks back.
         sizes = np.diff(bounds)
         order = np.argsort(-sizes, kind="stable")
-        starts, sizes = np.asarray(bounds[:-1])[order], sizes[order]
-        active = np.count_nonzero(sizes[:, None] > np.arange(sizes[0]), axis=0)  # k_t per step t
+        sizes, direction = sizes[order], -1 if reverse else 1
+        firsts = (np.asarray(bounds[1:]) - 1 if reverse else np.asarray(bounds[:-1]))[order]
+        steps = [firsts[: np.count_nonzero(sizes > t)] + direction * t for t in range(sizes[0])]
         h = c = np.zeros((len(order), hid))
-        for t, k in enumerate(active.tolist()):
-            rows = starts[:k] + t
+        for rows in steps:
+            k = len(rows)
             z = z_x[rows] + h[:k] @ w_h_all
             a = np.concatenate([_sigmoid(z[:, : 3 * hid]), np.tanh(z[:, 3 * hid :])], axis=1)
             i, f, o, g = a.reshape(k, 4, hid).swapaxes(0, 1)
@@ -113,28 +111,27 @@ class LstmCell:
             acts[rows], cs[rows], hs[rows] = a, c, h
 
         def rule(grad):
-            grad = grad[::-1] if reverse else grad
-            w_h_t, tanh_c = np.hstack(w_h).T, np.tanh(cs)
-            # States before each step: the previous row's, zero where a sequence starts.
-            h_prev, c_prev = np.roll(hs, 1, axis=0), np.roll(cs, 1, axis=0)
-            h_prev[bounds[:-1]] = c_prev[bounds[:-1]] = 0.0
+            tanh_c = np.tanh(cs)
+            # States before each step: the previous row's in run order, zero at a sequence's first step.
+            h_prev, c_prev = np.roll(hs, direction, axis=0), np.roll(cs, direction, axis=0)
+            h_prev[steps[0]] = c_prev[steps[0]] = 0.0
             i, f, o, g = np.split(acts, 4, axis=1)
             # Rows start as d(activation)/d(pre-activation); a step multiplies in dc or dh times a factor.
             dz = np.hstack([acts[:, : 3 * hid] * (1.0 - acts[:, : 3 * hid]), 1.0 - g * g])
-            factors, dtanh_c = np.hstack([g, c_prev, tanh_c, i]), 1.0 - tanh_c**2
-            for start, stop in zip(bounds, bounds[1:]):
-                dh_next = dc_next = np.zeros(hid)
-                for t in range(stop - 1, start - 1, -1):
-                    dh = grad[t] + dh_next
-                    dc = dh * o[t] * dtanh_c[t] + dc_next
-                    dz[t] *= np.concatenate([dc, dc, dh, dc]) * factors[t]
-                    dh_next, dc_next = dz[t] @ w_h_t, dc * f[t]
-            dx = dz @ np.hstack(w_x).T
-            dw_x, dw_h, db = xs.T @ dz, h_prev.T @ dz, dz.sum(axis=0, keepdims=True)
+            factors, o_dtanh_c, w_h_t = np.hstack([g, c_prev, tanh_c, i]), o * (1.0 - tanh_c**2), np.hstack(w_h).T
+            dh_next, dc_next = np.zeros((2, len(order), hid))
+            for rows in reversed(steps):
+                k = len(rows)
+                dh = grad[rows] + dh_next[:k]
+                dc = dh * o_dtanh_c[rows] + dc_next[:k]
+                dz_t = dz[rows] * (np.hstack([dc, dc, dh, dc]) * factors[rows])
+                dz[rows] = dz_t
+                dh_next[:k], dc_next[:k] = dz_t @ w_h_t, dc * f[rows]
+            dw_x, dw_h, db = x.data.T @ dz, h_prev.T @ dz, dz.sum(axis=0, keepdims=True)
             per_gate = [d[:, k * hid : (k + 1) * hid] for k in range(4) for d in (dw_x, dw_h, db)]
-            return (dx[::-1] if reverse else dx, *per_gate)  # per_gate in parameters() order
+            return (dz @ np.hstack(w_x).T, *per_gate)  # per_gate in parameters() order
 
-        return T.apply_op((x, *(p for _, p in self.parameters())), (hs[::-1] if reverse else hs).copy(), rule)
+        return T.apply_op((x, *(p for _, p in self.parameters())), hs, rule)
 
 
 def _segment_bounds(x: Tensor, lengths=None) -> list[int]:
@@ -156,11 +153,11 @@ class BiLstm:
     """Stacked bidirectional LSTM over consecutive sequences packed in [n, d].
 
     Each layer runs one forward and one backward cell over all sequences
-    (one tape op each, all sequences advancing together) and places their
-    [n, hidden] state matrices side by side, so the output is [n, 2*hidden].
-    Inverted dropout (training only) follows every layer; its masks are drawn
-    sequence by sequence, then layer by layer, as if each sequence ran on its
-    own.
+    (one tape op each; all sequences advance together, forward and in BPTT)
+    and places their [n, hidden] state matrices side by side, so the output
+    is [n, 2*hidden].  Inverted dropout (training only) follows every layer;
+    its masks are drawn sequence by sequence, then layer by layer, as if each
+    sequence ran on its own.
     """
 
     def __init__(self, input_dim: int, hidden: int, layers: int, dropout: float, rng: np.random.Generator | None):

@@ -1,10 +1,31 @@
-"""Shared test utilities: finite-difference gradients and error metrics."""
+"""Shared test utilities: finite-difference gradients, error metrics and fuzz strategies."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from syngcn.tensor import Tensor
+
+# One corpus line as JSON: any of the four fields, each holding nested JSON of any type.
+CORPUS_ROWS = st.dictionaries(
+    st.sampled_from(["tokens", "heads", "sent_bounds", "label"]),
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=False) | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=6),
+        max_leaves=12,
+    ),
+)
+
+# JSON values of every type but a bare integer, for the typed fields of configs and checkpoint headers.
+WRONG_TYPES = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.lists(st.integers(-2, 3), max_size=3)
+    | st.dictionaries(st.text(max_size=2), st.integers(-2, 3), max_size=2)
+)
 
 
 def finite_difference(fn, params, eps: float = 1e-5):

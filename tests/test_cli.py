@@ -5,18 +5,24 @@ import errno
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from syngcn.cli import main
 from syngcn.corpus import save_corpus
 from syngcn.synthetic import class_word_corpus
-from syngcn.training import load_checkpoint, load_history, save_checkpoint
+from syngcn.training import TrainConfig, load_checkpoint, load_history, save_checkpoint
+
+from helpers import CORPUS_ROWS, WRONG_TYPES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -344,6 +350,14 @@ class TestInspectGraph:
         err = capsys.readouterr().err
         assert "corpus:" in err and "line 2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("max_len", ["0", "-1", "x"])
+    def test_non_positive_max_len_is_usage_error(self, tmp_path, capsys, max_len):
+        corpus = tmp_path / "two.jsonl"
+        self.write_corpus(corpus, [{"tokens": ["a", "b"], "heads": [0, 1]}])
+        assert main(["inspect-graph", "--corpus", str(corpus), "--max-len", max_len]) == 2
+        err = capsys.readouterr().err
+        assert f"--max-len: expected a positive integer, got '{max_len}'" in err and "Traceback" not in err
+
     def test_bad_index(self, tmp_path, capsys):
         corpus = tmp_path / "one.jsonl"
         self.write_corpus(corpus, [{"tokens": ["hi"], "heads": [0]}])
@@ -447,6 +461,100 @@ class TestAtomicOutputs:
         monkeypatch.undo()
         assert target.read_bytes() == b"old contents\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+
+# Every field a --set pair, a config file or a sweep may name, plus one that does not exist.
+FIELDS = [*TrainConfig.__dataclass_fields__, "no_such_field"]
+# Fields whose size costs time or memory stay small here; the allocation
+# failures are tested in a child process under RLIMIT_AS (TestTrain).
+SIZE_FIELDS = ("embedding_size", "hidden_neurons", "lstm_layers", "epochs", "max_len")
+SMALL_TEXT = st.sampled_from(["-1", "0", "1", "2", "3", "1.5", "nan", "", "x", "true"])
+EXTREME_TEXT = (
+    st.sampled_from(["0", "-1", "1e308", "-1e308", "1e-320", "nan", "inf", "-inf", "true", "", "x", str(2**64)])
+    | st.integers().map(str)
+    | st.floats().map(repr)
+    | st.text(max_size=4)
+)
+# Integer options: the boundary values first, so hypothesis's simplest example uses them.
+INT_TEXT = st.sampled_from(["0", "-1", "1", "2"]) | EXTREME_TEXT
+ERROR_LINE = r"^syngcn {}: (corpus|config|checkpoint|training|tensor|error): "
+
+
+def _values(field):
+    return SMALL_TEXT if field in SIZE_FIELDS else EXTREME_TEXT
+
+
+@st.composite
+def _config_file(draw):
+    fields = draw(st.lists(st.sampled_from(FIELDS), max_size=3, unique=True))
+    small = st.integers(-1, 3) | WRONG_TYPES
+    return {f: draw(small if f in SIZE_FIELDS else st.integers() | WRONG_TYPES) for f in fields}
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_argv_exits_cleanly(self, workspace, tmp_path, capsys, data):
+        cmd = data.draw(st.sampled_from(["inspect-graph", "predict", "eval", "train", "sweep"]))
+        lines = workspace["corpus_bytes"].decode("utf-8").splitlines()
+        corpus = tmp_path / "corpus.jsonl"
+        kind = data.draw(st.sampled_from(["valid", "fuzzed line", "empty", "missing"]))
+        if kind == "fuzzed line":
+            lines[data.draw(st.integers(0, len(lines) - 1))] = json.dumps(data.draw(CORPUS_ROWS))
+        corpus.unlink(missing_ok=True)
+        if kind != "missing":
+            corpus.write_text("" if kind == "empty" else "\n".join(lines) + "\n", encoding="utf-8")
+        if cmd in ("eval", "predict"):
+            blob = workspace["checkpoint"].read_bytes()
+            cut = data.draw(st.sampled_from([len(blob), 0, 16, len(blob) - 8]))
+            flip = data.draw(st.none() | st.integers(0, 8 * cut - 1)) if cut else None
+            blob = bytearray(blob[:cut])
+            if flip is not None:
+                blob[flip // 8] ^= 1 << flip % 8
+            checkpoint = tmp_path / "model.sgcn"
+            checkpoint.write_bytes(bytes(blob))
+            argv = [cmd, "--checkpoint", str(checkpoint), "--test", str(corpus)]
+            argv += data.draw(st.sampled_from([[], ["--out", str(tmp_path / "out")], ["--out", str(tmp_path)]]))
+        elif cmd == "inspect-graph":
+            argv = [cmd, "--corpus", str(corpus)]
+            for flag, values in (
+                ("--max-len", INT_TEXT | st.none()),
+                ("--index", st.none() | INT_TEXT),
+                ("--mode", st.none() | st.sampled_from(["syntax", "all_ones", "tree"])),
+            ):
+                value = data.draw(values)
+                argv += [] if value is None else [flag, value]
+        else:
+            argv = [cmd, "--train", str(corpus), *TINY]
+            if cmd == "train":
+                argv += ["--checkpoint", str(tmp_path / "model.sgcn")]
+            else:
+                param = data.draw(st.sampled_from(FIELDS))
+                values = data.draw(st.lists(_values(param), min_size=1, max_size=2))
+                argv += ["--param", param, "--values", ",".join(values)]
+            for field in data.draw(st.lists(st.sampled_from(FIELDS), max_size=3)):
+                argv += ["--set", f"{field}={data.draw(_values(field))}"]
+            if data.draw(st.booleans()):
+                config = tmp_path / "config.json"
+                config.write_text(json.dumps(data.draw(_config_file())))
+                argv += ["--config", str(config)]
+            for flag, values in (
+                ("--pooling", st.sampled_from(["fc", "average", "percentile:0", "percentile:nan", "percentile:", "x"])),
+                ("--classes", st.sampled_from(["7", "2", "3", "x"])),
+                ("--seed", INT_TEXT),
+            ):
+                value = data.draw(st.none() | values)
+                argv += [] if value is None else [flag, value]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code:
+            assert re.search(ERROR_LINE.format(cmd), err, re.MULTILINE), err
 
 
 class TestEntryPoint:

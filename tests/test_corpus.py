@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from syngcn.corpus import (
     EMOTION_NAMES,
@@ -22,6 +21,8 @@ from syngcn.corpus import (
     load_corpus,
     save_corpus,
 )
+
+from helpers import CORPUS_ROWS
 
 
 def make_record(tokens, heads, bounds=None, label=0):
@@ -149,6 +150,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="line 2: not UTF-8"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_non_positive_max_len_rejected(self, tmp_path, max_len):
+        path = tmp_path / "two.jsonl"
+        write_lines(path, [{"tokens": ["a", "b"], "heads": [0, 1], "label": 0}])
+        with pytest.raises(ValueError, match=f"max_len must be positive, got {max_len}"):
+            load_corpus(path, max_len=max_len)
+
     def test_invalid_head_past_the_cut_rejected(self, tmp_path):
         path = tmp_path / "long.jsonl"
         heads = [0] * 9 + [99]
@@ -157,16 +165,7 @@ class TestLoadCorpus:
             load_corpus(path, max_len=5)
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        st.dictionaries(
-            st.sampled_from(["tokens", "heads", "sent_bounds", "label"]),
-            st.recursive(
-                st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=False) | st.text(max_size=3),
-                lambda inner: st.lists(inner, max_size=6),
-                max_leaves=12,
-            ),
-        )
-    )
+    @given(CORPUS_ROWS)
     def test_any_json_record_loads_or_raises_corpus_error(self, tmp_path, raw):
         path = tmp_path / "fuzz.jsonl"
         write_lines(path, [raw])

@@ -102,17 +102,24 @@ class TestLstmCell:
             x = rng.normal(size=(bounds[-1], d))
             cot = rng.normal(size=(bounds[-1], hidden))
 
-            def separate(t):
-                parts = [T.slice_rows(t, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-                return T.concat_rows([cell.run(part, reverse=reverse) for part in parts])
+            def separate(run):
+                def each(t):
+                    parts = [T.slice_rows(t, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+                    return T.concat_rows([run(part) for part in parts])
+
+                return _cell_outputs_and_grads(each, cell, x, cot)
 
             packed = _cell_outputs_and_grads(
                 lambda t: cell.run(t, reverse=reverse, lengths=lengths), cell, x, cot
             )
-            oracle = _cell_outputs_and_grads(separate, cell, x, cot)
+            # The per-sequence runs share run()'s step schedule; the per-step
+            # tape oracle shares none of it.
+            runs = separate(lambda part: cell.run(part, reverse=reverse))
+            steps = separate(lambda part: reference_lstm.run(cell, part, reverse))
             assert len(packed) == 14
-            for got, want in zip(packed, oracle):
+            for got, want, oracle in zip(packed, runs, steps):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("lengths", [[3, 0, 2], [6, -1], [2, 2], [4, 2], []])
     def test_bad_lengths_rejected(self, lengths):

@@ -39,7 +39,7 @@ from syngcn.training import (
 )
 
 import reference_tail
-from helpers import check_gradients
+from helpers import WRONG_TYPES, check_gradients
 
 
 class TestTrainConfig:
@@ -812,15 +812,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="vocab_words must be|unhashable"):
             load_checkpoint(bad)
 
-    _WRONG_TYPES = (
-        st.none()
-        | st.booleans()
-        | st.floats()
-        | st.text(max_size=4)
-        | st.lists(st.integers(-2, 3), max_size=3)
-        | st.dictionaries(st.text(max_size=2), st.integers(-2, 3), max_size=2)
-    )
-
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_any_corruption_raises_checkpoint_error_or_loads_finite(self, trained, tmp_path, data):
@@ -836,13 +827,13 @@ class TestCheckpoint:
             bad = blob[:slot] + value + blob[slot + 8 :]
         elif kind == "word":
             index = data.draw(st.integers(0, 7))
-            value = data.draw(self._WRONG_TYPES | st.sampled_from(["filler0", "classword6", "unseen"]))
+            value = data.draw(WRONG_TYPES | st.sampled_from(["filler0", "classword6", "unseen"]))
             bad = self._rewrite_header(blob, lambda header: header["vocab_words"].__setitem__(index, value))
         elif kind == "value":
             # Integers as large as 2**40 too: no config may allocate before the manifest bounds it.
             fields = [f"config.{name}" for name in TrainConfig.__dataclass_fields__]
             key = data.draw(st.sampled_from(["config", "vocab_words", "arrays", "format_version", *fields]))
-            value = data.draw(self._WRONG_TYPES | st.integers(-2, 2**40))
+            value = data.draw(WRONG_TYPES | st.integers(-2, 2**40))
 
             def edit(header):
                 owner = header["config"] if key.startswith("config.") else header
