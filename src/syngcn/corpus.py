@@ -157,9 +157,9 @@ def load_corpus(
             raw = parse_json(line, CorpusError, where)
             if not isinstance(raw, dict) or "tokens" not in raw or "heads" not in raw:
                 raise CorpusError(f"{where}: record needs tokens and heads fields")
-            if not isinstance(raw["tokens"], list):
-                raise CorpusError(f"{where}: tokens must be a list, got {json.dumps(raw['tokens'])[:60]}")
-            tokens = [str(t) for t in raw["tokens"]]
+            tokens = raw["tokens"]
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise CorpusError(f"{where}: tokens must be a list of strings, got {json.dumps(tokens)[:60]}")
             heads = _int_list(raw["heads"], "heads", where)
             spans = raw.get("sent_bounds", [])
             if not isinstance(spans, list):

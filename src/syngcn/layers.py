@@ -45,14 +45,15 @@ class EmbeddingTable:
 class LstmCell:
     """Single-direction LSTM cell with one weight set per gate.
 
-    Gates: input (i), forget (f), output (o), candidate (g).  The forget
-    bias starts at 1 so early training does not flush the cell state.
-    ``run`` is one tape op for a packed batch of sequences: the gate blocks
-    sit side by side and one input projection covers every row.  One list
-    of time steps drives both passes: step t holds the rows of the k_t
-    sequences still running, longest first (the ``batch_sizes`` layout of
-    packed sequences).  The forward takes one ``[k_t, hidden]`` product per
-    step; the backward rule, hand-written backpropagation through time,
+    Gates: input (i), forget (f), output (o), candidate (g).  The forget bias starts
+    at 1 so early training does not flush the cell state.  One activation covers the
+    gate block: scale * tanh(scale * z) + 1 - scale, with scale 1/2 the sigmoid of
+    i, f, o (sigmoid(z) = tanh(z/2)/2 + 1/2) and scale 1 the tanh of g.  ``run`` is one
+    tape op for a packed batch of sequences: the gate blocks sit side by side and one
+    input projection covers every row.  One list of time steps drives both passes:
+    step t holds the rows of the k_t sequences still running, longest first (the
+    ``batch_sizes`` layout of packed sequences).  The forward takes one ``[k_t, hidden]``
+    product per step; the backward rule, hand-written backpropagation through time,
     walks the steps in reverse with one ``[k_t, 4 * hidden]`` product each.
     """
 
@@ -89,7 +90,9 @@ class LstmCell:
         w_x, w_h, bias = ([part[gate].data for gate in self.GATES] for part in (self.w_x, self.w_h, self.bias))
         z_x = x.data @ np.hstack(w_x) + np.hstack(bias)
         w_h_all = np.hstack(w_h)
-        acts = np.empty((n, 4 * hid))  # sigmoid(i, f, o) and tanh(g) per row
+        scale = np.repeat([0.5, 0.5, 0.5, 1.0], hid)  # sigmoid for i, f, o; tanh for g
+        shift = 1.0 - scale
+        acts = np.empty((n, 4 * hid))  # the gate values i, f, o, g per row
         hs, cs = np.empty((n, hid)), np.empty((n, hid))  # row r: state after row r
         # Lockstep: longest sequence first, so at step t the sequences still
         # running are a prefix of that order, and their states the first k_t
@@ -104,7 +107,7 @@ class LstmCell:
         for rows in steps:
             k = len(rows)
             z = z_x[rows] + h[:k] @ w_h_all
-            a = np.concatenate([_sigmoid(z[:, : 3 * hid]), np.tanh(z[:, 3 * hid :])], axis=1)
+            a = scale * np.tanh(scale * z) + shift
             i, f, o, g = a.reshape(k, 4, hid).swapaxes(0, 1)
             c = f * c[:k] + i * g
             h = o * np.tanh(c)
@@ -115,9 +118,9 @@ class LstmCell:
             # States before each step: the previous row's in run order, zero at a sequence's first step.
             h_prev, c_prev = np.roll(hs, direction, axis=0), np.roll(cs, direction, axis=0)
             h_prev[steps[0]] = c_prev[steps[0]] = 0.0
-            i, f, o, g = np.split(acts, 4, axis=1)
+            i, f, o, g = acts.reshape(n, 4, hid).swapaxes(0, 1)
             # Rows start as d(activation)/d(pre-activation); a step multiplies in dc or dh times a factor.
-            dz = np.hstack([acts[:, : 3 * hid] * (1.0 - acts[:, : 3 * hid]), 1.0 - g * g])
+            dz = scale * scale - (acts - shift) ** 2  # a(1 - a) for i, f, o; 1 - g^2 for g
             factors, o_dtanh_c, w_h_t = np.hstack([g, c_prev, tanh_c, i]), o * (1.0 - tanh_c**2), np.hstack(w_h).T
             dh_next, dc_next = np.zeros((2, len(order), hid))
             for rows in reversed(steps):
@@ -141,12 +144,6 @@ def _segment_bounds(x: Tensor, lengths=None) -> list[int]:
     if not lengths or any(k < 1 for k in lengths) or sum(lengths) != n:
         raise ShapeError(f"lengths {lengths} do not split the rows of {x.shape} into non-empty records")
     return np.cumsum([0, *lengths]).tolist()
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Stable in both tails: exp of a non-positive argument only.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class BiLstm:

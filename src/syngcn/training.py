@@ -120,6 +120,9 @@ class TrainConfig:
             raise ConfigError("regularization rates must be non-negative")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1 or self.max_len < 1:
             raise ConfigError("learning_rate, batch_size, epochs, max_len must be positive")
+        for name, least in (("seed", 0), ("min_count", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
     @property
     def gcn_shape(self) -> tuple[int, int]:
@@ -514,16 +517,9 @@ def state_shapes(config: TrainConfig, vocab_size: int):
 
 
 def state_bytes(config: TrainConfig, vocab_size: int) -> int:
-    """Bytes of the arrays state_shapes lists, in closed form: a billion layers cost no walk."""
-    d, h, c = config.embedding_size, config.hidden_neurons, config.classes
-
-    def layer(inputs):  # its two cells
-        return 2 * len(LstmCell.GATES) * (inputs * h + h * h + h)
-
-    floats = vocab_size * d + layer(d) + (config.lstm_layers - 1) * layer(2 * h) + 2 * h * c
-    floats += 4 * 2 * h if config.batch_norm else 0
-    floats += config.max_len * c * c + c if config.pooling == "fc" else 0
-    return 8 * floats
+    """Bytes of the arrays state_shapes lists: each layer past the first adds what the second does."""
+    one, two = (sum(math.prod(s) for _, s in state_shapes(replace(config, lstm_layers=k), vocab_size)) for k in (1, 2))
+    return 8 * (one + (config.lstm_layers - 1) * (two - one))
 
 
 def load_checkpoint(path) -> Model:

@@ -112,6 +112,16 @@ class TestTrain:
         assert code == 1
         assert "config:" in err and field in err and "Traceback" not in err
 
+    def test_negative_seed_fails_with_config_message(self, workspace, tmp_path, capsys):
+        code = main(
+            ["train", "--train", str(workspace["corpus"]), "--checkpoint", str(tmp_path / "x.sgcn"),
+             *TINY, "--seed", "-1"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("syngcn train: config: seed "), err
+        assert not (tmp_path / "x.sgcn").exists()
+
     def test_deeply_nested_config_fails_with_config_message(self, workspace, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(DEEP_JSON)
         code = main(

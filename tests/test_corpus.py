@@ -128,6 +128,7 @@ class TestLoadCorpus:
             ({"sent_bounds": [[0]]}, "sent_bounds span must be a list of 2 integers"),
             ({"sent_bounds": 5}, "sent_bounds must be a list"),
             ({"tokens": "ab"}, "tokens must be a list"),
+            ({"tokens": [None, [1, 2], {"a": 1}], "heads": [0, 1, 1]}, "tokens must be a list of strings"),
         ],
     )
     def test_mistyped_field_names_line_and_field(self, tmp_path, fields, message):

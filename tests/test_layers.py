@@ -18,7 +18,6 @@ from syngcn.layers import (
     FcHead,
     GcnLayer,
     LstmCell,
-    _sigmoid,
     average_pool,
     orthogonal_init,
     percentile_pool,
@@ -151,9 +150,6 @@ class TestLstmCell:
         with pytest.raises(GraphError):
             backward(sum_all(out))
 
-    def test_sigmoid_at_zero(self):
-        assert _sigmoid(np.array(0.0)) == 0.5
-
     def test_saturating_inputs_stay_finite(self):
         rng = np.random.default_rng(5)
         cell = LstmCell(3, 4, rng, name="cell")
@@ -164,7 +160,6 @@ class TestLstmCell:
             )
             for arr in results:
                 assert np.all(np.isfinite(arr))
-        np.testing.assert_allclose(_sigmoid(np.array([-1000.0, 1000.0])), [0.0, 1.0], atol=1e-12)
 
 
 def tie_directions(bilstm):

@@ -75,6 +75,8 @@ class TestTrainConfig:
             {"learning_rate": 0.0},
             {"lambda_orth": -1.0},
             {"lstm_layers": 0},
+            {"seed": -1},
+            {"min_count": 0},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
