@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .corpus import MAX_TOKENS, CorpusError, build_graph, load_corpus
+from .corpus import EMOTION_NAMES, MAX_TOKENS, CorpusError, build_graph, load_corpus
 from .files import write_lines
 from .metrics import evaluate
 from .tensor import GraphError, ShapeError
@@ -98,9 +98,10 @@ def _resolve_config(args) -> TrainConfig:
     return config.with_overrides(overrides)
 
 
-def _load_labeled(path, config: TrainConfig, what: str):
-    records, report = load_corpus(path, schema="train", classes=config.classes, max_len=config.max_len)
-    if not records:
+def _load(path, max_len: int, classes: int = len(EMOTION_NAMES), what: str | None = None):
+    """A corpus's records, noting truncation on stderr; labeled and non-empty if ``what`` names the set."""
+    records, report = load_corpus(path, schema="train" if what else "eval", classes=classes, max_len=max_len)
+    if what and not records:
         raise CorpusError(f"{what} corpus {path} is empty")
     if report.truncated:
         print(f"note: truncated {report.truncated} over-long record(s) in {path}", file=sys.stderr)
@@ -108,8 +109,8 @@ def _load_labeled(path, config: TrainConfig, what: str):
 
 
 def _run_training(config: TrainConfig, args, verbose: bool):
-    train_records = _load_labeled(args.train, config, "training")
-    dev_records = _load_labeled(args.dev, config, "dev") if args.dev else train_records
+    train_records = _load(args.train, config.max_len, config.classes, "training")
+    dev_records = _load(args.dev, config.max_len, config.classes, "dev") if args.dev else train_records
     log = (lambda e: print(f"epoch {e['epoch']}: loss={e['train_loss']:.4f} "
                            f"dev_macro_f={e['dev_macro_f']:.4f}", file=sys.stderr)) if verbose else None
     return train(config, train_records, dev_records, log=log)
@@ -130,7 +131,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    records = _load_labeled(args.test, model.config, "evaluation")
+    records = _load(args.test, model.config.max_len, model.config.classes, "evaluation")
     pred, _ = model.predict(records)
     report = evaluate(pred, [rec.label for rec in records], model.config.classes)
     print(report.format_table())
@@ -142,9 +143,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    records, _ = load_corpus(
-        args.test, schema="eval", classes=model.config.classes, max_len=model.config.max_len
-    )
+    records = _load(args.test, model.config.max_len, model.config.classes)
     lines = predictions_to_lines(model, records)
     if args.out:
         write_lines(args.out, lines)
@@ -159,7 +158,7 @@ def _format_matrix(matrix: np.ndarray) -> str:
 
 
 def _cmd_inspect_graph(args) -> int:
-    records, _ = load_corpus(args.corpus, schema="eval", max_len=args.max_len)
+    records = _load(args.corpus, args.max_len)
     if not 0 <= args.index < len(records):
         raise CorpusError(f"record index {args.index} out of range (corpus has {len(records)})")
     record = records[args.index]

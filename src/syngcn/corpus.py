@@ -9,7 +9,8 @@ A corpus file is UTF-8 JSON lines, one record per line:
 ``sent_bounds``  [start, stop) spans partitioning the tokens into
                  sentences (may be omitted for single-sentence records).
 ``heads``        one entry per token: the 1-based position of its head
-                 *within its own sentence*, or 0 for the sentence root.
+                 *within its own sentence* (never the token itself), or 0
+                 for the sentence root.
 ``label``        emotion class id or name (see EMOTION_NAMES); optional
                  under the "eval" schema.
 
@@ -86,6 +87,8 @@ class Record:
                         f"{where}: head {self.heads[t]} of token {t} outside its "
                         f"{stop - start}-token sentence"
                     )
+                if self.heads[t] == t - start + 1:
+                    raise CorpusError(f"{where}: token {t} is its own head")
         if classes is not None and self.label is not None and not 0 <= self.label < classes:
             raise CorpusError(f"{where}: label {self.label} not in [0, {classes})")
 

@@ -25,9 +25,9 @@ SVD_TRIES = 3  # fresh Gaussian samples orthogonal_init tries before it gives up
 class EmbeddingTable:
     """Trainable |V| x d word embeddings; row 0 is the all-zero padding row.
 
-    The padding row is kept out of updates by the trainer (its gradient
-    is cleared before each optimizer step).  Without an rng the table is
-    all zeros, for a caller that fills it.
+    No encoded token is the padding id, so its row's gradient stays zero and
+    Adam never moves it.  ``grad`` is read-only and may be shared, as every
+    gradient is.  Without an rng the table is zeros, for a caller that fills it.
     """
 
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator | None):

@@ -40,7 +40,8 @@ class Tensor:
 
     ``requires_grad`` marks trainable leaves; it propagates to the
     results of operations so that constants cost nothing to track.
-    ``grad`` is populated (accumulating) by ``backward``.
+    ``grad`` is populated (accumulating) by ``backward``; it is read-only
+    and may share memory with other tensors' gradients.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_consumed")
@@ -317,12 +318,13 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tensor the scalar ``loss`` depends on.
 
-    Gradients accumulate (+=) so that separate backward passes over
-    shared leaves sum up; re-running backward on the same result tensor
-    is an error, since that would silently double-count.  Once a node's
+    Gradients accumulate out of place, so separate passes over shared
+    leaves sum up.  A tensor's first gradient is the array its rule
+    returned, not a copy, so a ``grad`` is read-only and may share memory
+    with others (``add`` hands both parents one array; ``concat``, views).
+    Replaying a graph is an error: it would double-count.  Once a node's
     rule has run, the node drops its parents and its rule, and with them
-    every array the rule held (the LSTM's gate activations and states,
-    for one); only the marker that refuses a replay stays.
+    every array the rule held; only the marker that refuses a replay stays.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise GraphError("backward requires a scalar tensor")
@@ -334,19 +336,17 @@ def backward(loss: Tensor) -> None:
     # double-count gradients already pushed into the leaves.
     if loss._consumed or any(node._consumed for node in order):
         raise GraphError("backward already ran through this graph; rebuild it")
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.data)
-    loss.grad = loss.grad + np.ones_like(loss.data)
-
-    for node in reversed(order):
-        if node._backward is None or node.grad is None:
-            continue
-        grads = node._backward(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += np.asarray(g, dtype=np.float64).reshape(parent.shape)
-        node._consumed, node._parents, node._backward = True, (), None
+    for tensor, g in _incoming(loss, order):
+        if g is not None and tensor.requires_grad:
+            g = np.asarray(g, dtype=np.float64).reshape(tensor.shape)
+            tensor.grad = g if tensor.grad is None else tensor.grad + g
     loss._consumed = True
+
+
+def _incoming(loss: Tensor, order: list[Tensor]) -> Iterator[tuple[Tensor, np.ndarray | None]]:
+    # The seed, then each node's (parent, gradient) pairs once its own gradient is complete.
+    yield loss, np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            yield from zip(node._parents, node._backward(node.grad))
+            node._consumed, node._parents, node._backward = True, (), None

@@ -438,8 +438,6 @@ def train(
                 config.lambda_l2,
             )
             T.backward(loss)
-            # The padding embedding row must never move.
-            model.embedding.table.grad[0] = 0.0
             try:
                 optimizer.step()
             except OptimizationError as exc:

@@ -162,8 +162,10 @@ class TestTrain:
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "x.sgcn").exists()
 
-    @pytest.mark.parametrize("sizes", [["embedding_size=1000000000"], ["pooling=fc", "max_len=1000000000"]],
-                             ids=["embedding", "fc_head"])
+    @pytest.mark.parametrize(
+        "sizes", [["embedding_size=1000000000"], ["pooling=fc", "max_len=1000000000"], ["hidden_neurons=1000000000"]],
+        ids=["embedding", "fc_head", "hidden"],
+    )
     def test_oversized_model_fails_with_config_message(self, workspace, tmp_path, sizes):
         # main() in a child whose address space is capped at 2 GiB: the weights cannot be allocated,
         # and nothing the test does can take memory from the rest of the machine.
@@ -373,6 +375,22 @@ class TestInspectGraph:
         self.write_corpus(corpus, [{"tokens": ["hi"], "heads": [0]}])
         assert main(["inspect-graph", "--corpus", str(corpus), "--index", "5"]) == 1
         assert "corpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "inspect-graph"])
+def test_every_corpus_reader_notes_truncated_records(workspace, tmp_path, capsys, command):
+    # 25 tokens, a chain to the root at the end: over TINY's max_len of 20, which the checkpoint carries.
+    corpus = tmp_path / "long.jsonl"
+    corpus.write_text(json.dumps({"tokens": [f"w{i}" for i in range(25)], "heads": [*range(2, 26), 0], "label": 0}))
+    checkpoint = ["--checkpoint", str(workspace["checkpoint"]), "--test", str(corpus)]
+    args = {
+        "train": ["--train", str(corpus), "--checkpoint", str(tmp_path / "x.sgcn"), *TINY],
+        "eval": checkpoint,
+        "predict": checkpoint,
+        "inspect-graph": ["--corpus", str(corpus), "--max-len", "20"],
+    }[command]
+    assert main([command, *args]) == 0
+    assert f"note: truncated 1 over-long record(s) in {corpus}" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -81,9 +81,13 @@ class TestLoadCorpus:
 
     def test_invalid_head_names_line(self, tmp_path):
         path = tmp_path / "badhead.jsonl"
-        write_lines(path, [{"tokens": ["a", "b"], "heads": [3, 0], "label": 0}])
-        with pytest.raises(CorpusError, match="line 1"):
-            load_corpus(path)
+        for row, problem in (
+            ({"tokens": ["a", "b"], "heads": [3, 0], "label": 0}, "head 3 of token 0 outside"),
+            ({"tokens": ["a", "b", "c"], "heads": [2, 2, 2], "label": 0}, "token 1 is its own head"),
+        ):
+            write_lines(path, [row])
+            with pytest.raises(CorpusError, match=f"line 1: {problem}"):
+                load_corpus(path)
 
     def test_label_by_name(self, tmp_path):
         path = tmp_path / "named.jsonl"

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -54,6 +55,20 @@ class TestEmbedding:
         np.testing.assert_array_equal(grad[2], np.full(3, 3.0))
         np.testing.assert_array_equal(grad[4], np.full(3, 1.0))
         np.testing.assert_array_equal(grad[[0, 1, 3]], np.zeros((3, 3)))
+
+    def test_backward_peak_stays_near_one_table(self):
+        # The table's gradient is the one dense array gather_rows' rule returns: no second table-sized buffer.
+        rng = np.random.default_rng(2)
+        table = EmbeddingTable(vocab_size=4000, dim=300, rng=rng)
+        ids = rng.integers(2, 4000, size=64)
+        loss = sum_all(mul(table(ids), Tensor(rng.standard_normal((64, 300)))))
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table.table.data.nbytes
 
 
 def _cell_outputs_and_grads(run, cell, x_data, cotangent):

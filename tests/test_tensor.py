@@ -1,7 +1,9 @@
 """Tensor engine tests: forward values, error contracts, gradient checks."""
 
+import ast
 import math
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +259,15 @@ class TestBackward:
             backward(sum_all(mul(add(z, w), w)))  # z deep inside a new graph
         np.testing.assert_allclose(w.grad, [3.0, 5.0])
 
+    def test_later_gradients_add_out_of_place(self):
+        # add hands one array to both parents; a second graph through a alone leaves b's gradient alone.
+        a, b = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0], requires_grad=True)
+        backward(sum_all(add(a, b)))
+        assert np.shares_memory(a.grad, b.grad)
+        backward(sum_all(mul(a, a)))
+        np.testing.assert_array_equal(a.grad, [3.0, 5.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
 
 class TestNoGrad:
     def test_ops_record_nothing(self):
@@ -421,3 +432,32 @@ def test_shape_data_invariant():
     for shape in ((2, 3), (1, 7), (5,), ()):
         t = rand_tensor(rng, shape)
         assert int(np.prod(t.shape)) == t.size
+
+
+def grad_writes(source: str) -> list[int]:
+    """Lines of ``source`` that write into a ``.grad`` array: ``x.grad[...] = ...`` or ``x.grad op= ...``.
+
+    Rebinding (``x.grad = ...``) is allowed: gradients are read-only and may share memory.
+    """
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            continue
+        for top in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            for target in (t for t in ast.walk(top) if isinstance(getattr(t, "ctx", None), ast.Store)):
+                base = target
+                while isinstance(base, ast.Subscript):
+                    base = base.value
+                into = base is not target or isinstance(node, ast.AugAssign)
+                if isinstance(base, ast.Attribute) and base.attr == "grad" and into:
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_src_never_writes_into_a_grad():
+    sample = ("x.grad[0] = 0.0\nx.grad += g\nx.grad[1:] *= 2\na, y.grad[0][1] = 1, 2\n"
+              "x.grad = g\nx.grad = x.grad + g\ny[x.grad[0]] = 1\n")
+    assert grad_writes(sample) == [1, 2, 3, 4]
+    src = Path(__file__).resolve().parent.parent / "src" / "syngcn"
+    found = {path.name: grad_writes(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
