@@ -11,8 +11,6 @@ A batch is one [N, d] matrix of its records' rows, record after record;
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import tensor as T
@@ -204,8 +202,8 @@ class BatchNorm:
     """Normalization of each feature column over all rows seen in a batch.
 
     Training mode normalizes with batch statistics and refreshes the
-    running estimates; evaluation mode applies the running estimates as
-    a fixed affine map.
+    running estimates in place; evaluation mode applies them as a fixed
+    affine map.
     """
 
     def __init__(self, features: int):
@@ -229,8 +227,8 @@ class BatchNorm:
         if training:
             mean, var, n = x.data.mean(axis=0), x.data.var(axis=0), x.shape[0]
             unbiased = var * (n / (n - 1)) if n > 1 else var
-            self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
-            self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
+            np.add((1 - BN_MOMENTUM) * self.running_mean, BN_MOMENTUM * mean, out=self.running_mean)
+            np.add((1 - BN_MOMENTUM) * self.running_var, BN_MOMENTUM * unbiased, out=self.running_var)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = (x.data - mean) * inv_std
 
@@ -273,29 +271,34 @@ def _per_record(parents, lengths, out: np.ndarray, rule) -> Tensor:
     return T.apply_op(parents, out if lengths is not None else out[0], lambda g: rule(g.reshape(out.shape)))
 
 
+def _padded(z: Tensor, sizes: np.ndarray, width: int, fill: float) -> tuple[np.ndarray, np.ndarray]:
+    """[B, width, C] block whose row b holds record b's rows of z [N, C], then ``fill``; and its real-row mask."""
+    real = np.arange(width) < sizes[:, None]
+    block = np.full((len(sizes), width, z.shape[1]), fill)
+    block[real] = z.data
+    return block, real
+
+
 def percentile_pool(z: Tensor, p: float, lengths=None) -> Tensor:
     """Nearest-rank percentile of each column of each record's rows of z [N, C]: [B, C], or [C].
 
     The 1-based rank is ceil(p/100 * n_b), at least 1: p=100 is max pooling, p=50 the
     median for odd n_b.  Each pooled value's gradient flows to the selected element's
-    row, the lowest-index one among equal values.
+    row, the lowest-index one among equal values.  One sort covers the NaN-padded batch:
+    NaN sorts after every number, +inf included, and equals nothing, so each record sorts as if alone.
     """
     if not 0 <= p <= 100:
         raise ValueError(f"percentile p={p} outside [0, 100]")
-    bounds = _segment_bounds(z, lengths)
-    values = np.empty((len(bounds) - 1, z.shape[1]))
-    selected = np.empty(values.shape, dtype=np.intp)
-    for b, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        # Multiply before dividing: p*n is exact in float64 for the supported
-        # range, so integer-valued ranks never round up spuriously.
-        rank = max(1, math.ceil(p * (stop - start) / 100.0))
-        rows = z.data[start:stop]
-        values[b] = np.sort(rows, axis=0)[rank - 1]
-        selected[b] = start + np.argmax(rows == values[b], axis=0)
+    sizes = np.diff(_segment_bounds(z, lengths))
+    block, _ = _padded(z, sizes, sizes.max(), np.nan)
+    # p*n first: exact in float64 for the supported range, so integer-valued ranks never round up.
+    ranks = np.maximum(1, np.ceil(p * sizes / 100.0)).astype(np.intp)
+    values = np.sort(block, axis=1)[np.arange(len(sizes)), ranks - 1]
+    selected = np.argmax(block == values[:, None], axis=1)  # [B, C] row within each record
 
     def rule(g):
         gz = np.zeros_like(z.data)
-        gz[selected, np.arange(z.shape[1])] = g
+        gz[(np.cumsum(sizes) - sizes)[:, None] + selected, np.arange(z.shape[1])] = g
         return (gz,)
 
     return _per_record((z,), lengths, values, rule)
@@ -330,13 +333,11 @@ class FcHead:
         if sizes.max() > self.max_len:
             raise ShapeError(f"{sizes.max()} rows exceed fc head capacity {self.max_len}")
         w = self.weight.data
-        # Row b holds record b's n_b * C entries, then zeros up to max_len * C.
-        padded = np.arange(w.shape[0]) < sizes[:, None] * z.shape[1]
-        flat = np.zeros(padded.shape)
-        flat[padded] = z.data.reshape(-1)
+        block, real = _padded(z, sizes, self.max_len, 0.0)
+        flat = block.reshape(len(sizes), -1)
 
         def rule(g):
-            return (g @ w.T)[padded].reshape(z.shape), flat.T @ g, g.sum(axis=0)
+            return (g @ w.T).reshape(block.shape)[real], flat.T @ g, g.sum(axis=0)
 
         return _per_record((z, self.weight, self.bias), lengths, flat @ w + self.bias.data, rule)
 

@@ -183,6 +183,9 @@ class Model:
         self.config = config
         self.vocab = vocab
         try:
+            # Ask for the whole state once, untouched, so a size the machine cannot hold fails
+            # before layer after small layer is built; past intp, NumPy raises ValueError instead.
+            np.empty(min(state_bytes(config, len(vocab)), np.iinfo(np.intp).max), dtype=np.uint8)
             self.embedding = EmbeddingTable(len(vocab), config.embedding_size, rng)
             self.bilstm = BiLstm(
                 config.embedding_size, config.hidden_neurons, config.lstm_layers, config.dropout, rng

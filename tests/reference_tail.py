@@ -6,11 +6,13 @@ logits and one op per penalty.  This module recomputes the same loss the
 way the model used to: each record's rows sliced out of the packed
 features, its own ``(A @ F) @ W`` and ReLU from primitive tape ops, a
 single-record pool, 1-D cross-entropies and per-matrix penalties summed
-with ``T.add``; the two must agree.
+with ``T.add``; the two must agree.  ``percentile_pool_reference`` is the
+pooling loop itself, one record at a time, for the batched pool to match.
 """
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -28,6 +30,25 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(a.shape),)
 
     return T.apply_op((a,), a.data.reshape(shape).copy(), rule)
+
+
+def percentile_pool_reference(z: Tensor, p: float, lengths=None) -> Tensor:
+    """percentile_pool with each record's rows sorted on their own."""
+    bounds = np.cumsum([0, *([z.shape[0]] if lengths is None else lengths)]).tolist()
+    values = np.empty((len(bounds) - 1, z.shape[1]))
+    selected = np.empty(values.shape, dtype=np.intp)
+    for b, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        rank = max(1, math.ceil(p * (stop - start) / 100.0))
+        rows = z.data[start:stop]
+        values[b] = np.sort(rows, axis=0)[rank - 1]
+        selected[b] = start + np.argmax(rows == values[b], axis=0)
+
+    def rule(g):
+        gz = np.zeros_like(z.data)
+        gz[selected, np.arange(z.shape[1])] = g.reshape(values.shape)
+        return (gz,)
+
+    return T.apply_op((z,), values if lengths is not None else values[0], rule)
 
 
 def _pool(model, z: Tensor) -> Tensor:

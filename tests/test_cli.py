@@ -163,8 +163,10 @@ class TestTrain:
         assert not (tmp_path / "x.sgcn").exists()
 
     @pytest.mark.parametrize(
-        "sizes", [["embedding_size=1000000000"], ["pooling=fc", "max_len=1000000000"], ["hidden_neurons=1000000000"]],
-        ids=["embedding", "fc_head", "hidden"],
+        "sizes",
+        [["embedding_size=1000000000"], ["pooling=fc", "max_len=1000000000"], ["hidden_neurons=1000000000"],
+         ["lstm_layers=1000000000"]],
+        ids=["embedding", "fc_head", "hidden", "layers"],
     )
     def test_oversized_model_fails_with_config_message(self, workspace, tmp_path, sizes):
         # main() in a child whose address space is capped at 2 GiB: the weights cannot be allocated,

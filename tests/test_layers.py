@@ -26,6 +26,7 @@ from syngcn.layers import (
 from syngcn.tensor import GraphError, ShapeError, Tensor, backward, mul, sum_all
 
 import reference_lstm
+import reference_tail
 from helpers import check_gradients, rand_tensor
 
 
@@ -290,9 +291,11 @@ class TestBatchNorm:
         rng = np.random.default_rng(29)
         bn = BatchNorm(features=3)
         x = rng.normal(1.0, 2.0, size=(50, 3))
+        mean, var = bn.running_mean, bn.running_var
         bn(Tensor(x), training=True)
-        np.testing.assert_allclose(bn.running_mean, 0.1 * x.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(bn.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=0, ddof=1), atol=1e-12)
+        assert bn.running_mean is mean and bn.running_var is var  # updated in place, never rebound
+        np.testing.assert_allclose(mean, 0.1 * x.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(var, 0.9 * 1.0 + 0.1 * x.var(axis=0, ddof=1), atol=1e-12)
 
     def test_eval_uses_running_statistics(self):
         bn = BatchNorm(features=2)
@@ -479,6 +482,25 @@ class TestPercentilePool:
             p = float(rng.integers(0, 101))
             worst = max(worst, check_gradients(lambda: sum_all(mul(percentile_pool(z, p), cot)), [z]))
         assert worst < 1e-6
+
+    def test_matches_per_record_reference(self):
+        # Bit for bit against one sort per record: ties, planted +-inf and NaN included.
+        rng = np.random.default_rng(89)
+        for _ in range(300):
+            lengths = rng.integers(1, 10, size=int(rng.integers(1, 6))).tolist()
+            data = rng.integers(-2, 3, size=(sum(lengths), 3)).astype(np.float64)
+            planted = rng.random(data.shape) < 0.2
+            data[planted] = rng.choice([np.inf, -np.inf, np.nan], size=int(planted.sum()))
+            p = float(rng.choice([0, 10, 25, 50, 75, 90, 100, rng.uniform(0, 100)]))
+            lengths = None if len(lengths) == 1 else lengths  # one record: the [C] form
+            cot = Tensor(rng.uniform(-1.0, 1.0, size=(3,) if lengths is None else (len(lengths), 3)))
+            got, want = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+            outs = [percentile_pool(got, p, lengths), reference_tail.percentile_pool_reference(want, p, lengths)]
+            for out in outs:
+                with np.errstate(invalid="ignore"):  # the loss sums +inf and -inf
+                    backward(sum_all(mul(out, cot)))
+            assert np.array_equal(outs[0].data, outs[1].data, equal_nan=True)
+            np.testing.assert_array_equal(got.grad, want.grad)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
