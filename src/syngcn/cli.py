@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .corpus import EMOTION_NAMES, MAX_TOKENS, CorpusError, build_graph, load_corpus
+from .corpus import ADJACENCY_MODES, EMOTION_NAMES, LABEL_SETS, MAX_TOKENS, CorpusError, build_graph, load_corpus
 from .files import write_lines
 from .metrics import evaluate
 from .tensor import GraphError, ShapeError
@@ -60,9 +60,9 @@ def _positive_int(text: str) -> int:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file mirroring TrainConfig fields")
     parser.add_argument("--seed", type=int, help="RNG seed (default 42)")
-    parser.add_argument("--mode", choices=["syntax", "all_ones"], help="adjacency mode")
+    parser.add_argument("--mode", choices=ADJACENCY_MODES, help="adjacency mode")
     parser.add_argument("--pooling", help="percentile:P, average, or fc")
-    parser.add_argument("--classes", type=int, choices=[7, 2], help="output classes")
+    parser.add_argument("--classes", type=int, choices=list(LABEL_SETS), help="output classes")
     parser.add_argument(
         "--set",
         action="append",
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("inspect-graph", help="print a record's adjacency matrices")
     p_graph.add_argument("--corpus", required=True)
     p_graph.add_argument("--index", type=int, default=0, help="record index (default 0)")
-    p_graph.add_argument("--mode", choices=["syntax", "all_ones"])
+    p_graph.add_argument("--mode", choices=ADJACENCY_MODES)
     p_graph.add_argument("--max-len", type=_positive_int, default=MAX_TOKENS)
     p_graph.set_defaults(func=_cmd_inspect_graph)
 

@@ -11,8 +11,9 @@ A corpus file is UTF-8 JSON lines, one record per line:
 ``heads``        one entry per token: the 1-based position of its head
                  *within its own sentence* (never the token itself), or 0
                  for the sentence root.
-``label``        emotion class id or name (see EMOTION_NAMES); optional
-                 under the "eval" schema.
+``label``        class id, or a name from the configured class set (see
+                 LABEL_SETS); a name from the other set is a CorpusError
+                 naming the line.  Optional under the "eval" schema.
 
 Records longer than ``max_len`` tokens are truncated (counted in the
 load report); a head pointing past the cut becomes a root.
@@ -41,6 +42,9 @@ EMOTION_NAMES = ("happiness", "sadness", "like", "anger", "disgust", "fear", "su
 # Binary polarity mode: happiness/like are positive, surprise is dropped.
 POLARITY_NAMES = ("negative", "positive")
 POSITIVE_EMOTIONS = frozenset({"happiness", "like"})
+LABEL_SETS = {7: EMOTION_NAMES, 2: POLARITY_NAMES}
+
+ADJACENCY_MODES = ("syntax", "all_ones")
 
 
 class CorpusError(ValueError):
@@ -48,11 +52,8 @@ class CorpusError(ValueError):
 
 
 def label_names(classes: int) -> tuple[str, ...]:
-    if classes == len(EMOTION_NAMES):
-        return EMOTION_NAMES
-    if classes == len(POLARITY_NAMES):
-        return POLARITY_NAMES
-    return tuple(f"class_{i}" for i in range(classes))
+    """The names of a class set in id order; ``class_i`` for a class count outside LABEL_SETS."""
+    return LABEL_SETS.get(classes) or tuple(f"class_{i}" for i in range(classes))
 
 
 @dataclass(frozen=True)
@@ -102,16 +103,15 @@ class LoadReport:
     truncated: int = 0
 
 
-def _parse_label(value, where: str) -> int:
-    if isinstance(value, bool):
-        raise CorpusError(f"{where}: label must be an integer or name")
-    if isinstance(value, int):
-        return value
+def _parse_label(value, classes: int, where: str) -> int:
+    """A label's class id: an integer as given, or a name's index in ``label_names(classes)``."""
     if isinstance(value, str):
-        for names in (EMOTION_NAMES, POLARITY_NAMES):
-            if value in names:
-                return names.index(value)
-        raise CorpusError(f"{where}: unknown label name {value!r}")
+        names = label_names(classes)
+        if value not in names:
+            raise CorpusError(f"{where}: label {value!r} is not one of {', '.join(names)}")
+        return names.index(value)
+    if type(value) is int:  # not a bool
+        return value
     raise CorpusError(f"{where}: label must be an integer or name")
 
 
@@ -170,7 +170,7 @@ def load_corpus(
             bounds = [tuple(_int_list(span, "a sent_bounds span", where, 2)) for span in spans]
             bounds = bounds or [(0, len(tokens))]
             if "label" in raw and raw["label"] is not None:
-                label = _parse_label(raw["label"], where)
+                label = _parse_label(raw["label"], classes, where)
             elif schema == "train":
                 raise CorpusError(f"{where}: label required under train schema")
             else:
@@ -287,7 +287,7 @@ def build_graph(record: Record, mode: str = "syntax", max_len: int = MAX_TOKENS)
     directions); "all_ones" is the no-syntax ablation where every token
     links to every other.  A record longer than ``max_len`` is rejected.
     """
-    if mode not in ("syntax", "all_ones"):
+    if mode not in ADJACENCY_MODES:
         raise ValueError(f"unknown adjacency mode {mode!r}")
     n = len(record)
     if n > max_len:

@@ -26,7 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .corpus import Record, Vocabulary, build_graph, build_vocab, label_names
+from .corpus import (ADJACENCY_MODES, LABEL_SETS, MAX_TOKENS, Record, Vocabulary, build_graph, build_vocab,
+                     label_names)
 from .files import atomic_open, parse_json, write_lines
 from .layers import (
     BatchNorm,
@@ -56,7 +57,6 @@ class OptimizationError(RuntimeError):
 
 
 POOLING_MODES = ("percentile", "average", "fc")
-ADJACENCY_MODES = ("syntax", "all_ones")
 
 DEFAULT_SEED = 42
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and the update's denominator floor
@@ -90,7 +90,7 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 0.001
     weight_decay: float = 1e-8
-    max_len: int = 140
+    max_len: int = MAX_TOKENS
     classes: int = 7
     adjacency_mode: str = "syntax"
     epochs: int = 100
@@ -114,8 +114,8 @@ class TrainConfig:
             raise ConfigError(f"pooling_p {self.pooling_p} outside [0, 100]")
         if self.adjacency_mode not in ADJACENCY_MODES:
             raise ConfigError(f"adjacency_mode must be one of {ADJACENCY_MODES}")
-        if self.classes not in (7, 2):
-            raise ConfigError(f"classes must be 7 or 2, got {self.classes}")
+        if self.classes not in LABEL_SETS:
+            raise ConfigError(f"classes must be {' or '.join(map(str, LABEL_SETS))}, got {self.classes}")
         if min(self.lambda_orth, self.lambda_l2, self.weight_decay) < 0:
             raise ConfigError("regularization rates must be non-negative")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1 or self.max_len < 1:
@@ -205,14 +205,8 @@ class Model:
                 fill(name, arr)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        params = list(self.embedding.parameters())
-        params += list(self.bilstm.parameters())
-        if self.batch_norm is not None:
-            params += list(self.batch_norm.parameters())
-        params += list(self.gcn.parameters())
-        if self.fc_head is not None:
-            params += list(self.fc_head.parameters())
-        return params
+        layers = (self.embedding, self.bilstm, self.batch_norm, self.gcn, self.fc_head)
+        return [named for layer in layers if layer is not None for named in layer.parameters()]
 
     def penalized_weights(self) -> list[Tensor]:
         """Weight matrices covered by the orthogonality and L2 penalties."""
@@ -565,7 +559,7 @@ def _read_checkpoint(fh, path) -> Model:
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
 
-    expected = sum(math.prod(shape) for _, shape in shapes) * 8
+    expected = state_bytes(config, len(vocab))
     if payload != expected:
         raise CheckpointError(f"{path} is truncated ({payload} of {expected} payload bytes)")
 

@@ -5,16 +5,20 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from syngcn.corpus import EMOTION_NAMES, POLARITY_NAMES
 from syngcn.tensor import Tensor
 
-# One corpus line as JSON: any of the four fields, each holding nested JSON of any type.
-CORPUS_ROWS = st.dictionaries(
-    st.sampled_from(["tokens", "heads", "sent_bounds", "label"]),
-    st.recursive(
-        st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=False) | st.text(max_size=3),
-        lambda inner: st.lists(inner, max_size=6),
-        max_leaves=12,
-    ),
+# Every class name of both sets; a JSON scalar of any type, the names included; nested lists of them.
+_NAMES = st.sampled_from(EMOTION_NAMES + POLARITY_NAMES)
+_LEAVES = st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=False) | st.text(max_size=3) | _NAMES
+_JSON = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=6), max_leaves=12)
+
+# One corpus line as JSON: any of the four fields, each holding nested JSON of any type; or a
+# one-sentence star tree (every token headed by the first), a line that loads whenever its label does.
+CORPUS_ROWS = st.dictionaries(st.sampled_from(["tokens", "heads", "sent_bounds", "label"]), _JSON) | st.builds(
+    lambda tokens, label: {"tokens": tokens, "heads": [0] + [1] * (len(tokens) - 1), "label": label},
+    st.lists(st.text(max_size=3), min_size=1, max_size=6),
+    _NAMES | _LEAVES,
 )
 
 # JSON values of every type but a bare integer, for the typed fields of configs and checkpoint headers.

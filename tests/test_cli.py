@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from syngcn.cli import main
-from syngcn.corpus import save_corpus
+from syngcn.corpus import EMOTION_NAMES, save_corpus
 from syngcn.synthetic import class_word_corpus
 from syngcn.training import TrainConfig, load_checkpoint, load_history, save_checkpoint
 
@@ -149,6 +149,18 @@ class TestTrain:
         )
         assert code == 1
         assert capsys.readouterr().err
+
+    def test_label_name_outside_class_set_fails_with_corpus_message(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "named.jsonl"
+        rows = [json.loads(line) for line in workspace["corpus_bytes"].decode("utf-8").splitlines()]
+        corpus.write_text("".join(json.dumps({**row, "label": EMOTION_NAMES[row["label"]]}) + "\n" for row in rows))
+        code = main(
+            ["train", "--train", str(corpus), "--checkpoint", str(tmp_path / "x.sgcn"), *TINY, "--classes", "2"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.fullmatch(f"syngcn train: corpus: {re.escape(str(corpus))}: line 1: .*\n", err), err
+        assert not (tmp_path / "x.sgcn").exists()
 
     def test_diverging_run_fails_with_training_message(self, workspace, tmp_path):
         # In a child process, so that NumPy warnings would reach stderr as a user sees them.

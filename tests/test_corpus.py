@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from syngcn.corpus import (
     EMOTION_NAMES,
+    LABEL_SETS,
     MAX_TOKENS,
     POLARITY_NAMES,
     CorpusError,
@@ -89,11 +91,22 @@ class TestLoadCorpus:
             with pytest.raises(CorpusError, match=f"line 1: {problem}"):
                 load_corpus(path)
 
-    def test_label_by_name(self, tmp_path):
+    @pytest.mark.parametrize(
+        "classes,name,label",
+        [(7, "like", 2), (2, "positive", 1), (2, "happiness", None), (7, "positive", None)],
+        ids=["emotion-at-7", "polarity-at-2", "emotion-at-2", "polarity-at-7"],
+    )
+    def test_label_by_name(self, tmp_path, classes, name, label):
+        # A name resolves only within the configured class set; one from the other set names the line.
         path = tmp_path / "named.jsonl"
-        write_lines(path, [{"tokens": ["a"], "heads": [0], "label": "like"}])
-        records, _ = load_corpus(path)
-        assert records[0].label == 2
+        write_lines(path, [{"tokens": ["a"], "heads": [0], "label": name}])
+        if label is None:
+            allowed = ", ".join(label_names(classes))
+            with pytest.raises(CorpusError, match=f"line 1: label '{name}' is not one of {allowed}$"):
+                load_corpus(path, classes=classes)
+        else:
+            records, _ = load_corpus(path, classes=classes)
+            assert records[0].label == label
 
     def test_label_required_for_training(self, tmp_path):
         path = tmp_path / "nolabel.jsonl"
@@ -170,18 +183,20 @@ class TestLoadCorpus:
             load_corpus(path, max_len=5)
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(CORPUS_ROWS)
-    def test_any_json_record_loads_or_raises_corpus_error(self, tmp_path, raw):
+    @given(CORPUS_ROWS, st.sampled_from(list(LABEL_SETS)))
+    def test_any_json_record_loads_or_raises_corpus_error(self, tmp_path, raw, classes):
         path = tmp_path / "fuzz.jsonl"
         write_lines(path, [raw])
         try:
-            records, _ = load_corpus(path, schema="eval", max_len=4)
+            records, _ = load_corpus(path, schema="eval", classes=classes, max_len=4)
         except CorpusError as exc:
             assert "line 1" in str(exc)
         else:
             for rec in records:
-                rec.validate(classes=7)
+                rec.validate(classes=classes)
                 assert len(rec) <= 4
+                if isinstance(raw.get("label"), str):
+                    assert label_names(classes)[rec.label] == raw["label"]
 
     def test_round_trip(self, tmp_path):
         recs = [
