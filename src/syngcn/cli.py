@@ -1,9 +1,9 @@
 """Command-line interface: train, eval, predict, inspect-graph, sweep.
 
-Every subcommand takes --seed (default 42) so runs are reproducible,
-and --set key=value for ad-hoc config overrides.  Exit code 0 means
-success, 2 a usage error, 1 any runtime failure; runtime failures carry
-a module-qualified message on stderr.
+train and sweep take --seed (default 42) so runs are reproducible, and
+--set key=value for ad-hoc config overrides.  inspect-graph ignores labels.
+Exit code 0 means success, 2 a usage error, 1 any runtime failure;
+runtime failures carry a module-qualified message on stderr.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ import sys
 
 import numpy as np
 
-from .corpus import ADJACENCY_MODES, EMOTION_NAMES, LABEL_SETS, MAX_TOKENS, CorpusError, build_graph, load_corpus
+from .corpus import ADJACENCY_MODES, LABEL_SETS, MAX_TOKENS, CorpusError, build_graph, load_corpus
 from .files import write_lines
 from .metrics import evaluate
 from .tensor import GraphError, ShapeError
 from .training import (
+    DEFAULT_SEED,
     CheckpointError,
     ConfigError,
     OptimizationError,
@@ -59,7 +60,7 @@ def _positive_int(text: str) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file mirroring TrainConfig fields")
-    parser.add_argument("--seed", type=int, help="RNG seed (default 42)")
+    parser.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
     parser.add_argument("--mode", choices=ADJACENCY_MODES, help="adjacency mode")
     parser.add_argument("--pooling", help="percentile:P, average, or fc")
     parser.add_argument("--classes", type=int, choices=list(LABEL_SETS), help="output classes")
@@ -98,8 +99,8 @@ def _resolve_config(args) -> TrainConfig:
     return config.with_overrides(overrides)
 
 
-def _load(path, max_len: int, classes: int = len(EMOTION_NAMES), what: str | None = None):
-    """A corpus's records, noting truncation on stderr; labeled and non-empty if ``what`` names the set."""
+def _load(path, max_len: int, classes: int | None = None, what: str | None = None):
+    """Records of a corpus, noting truncation; unlabeled without ``classes``, labeled and non-empty with ``what``."""
     records, report = load_corpus(path, schema="train" if what else "eval", classes=classes, max_len=max_len)
     if what and not records:
         raise CorpusError(f"{what} corpus {path} is empty")
@@ -162,7 +163,7 @@ def _cmd_inspect_graph(args) -> int:
     if not 0 <= args.index < len(records):
         raise CorpusError(f"record index {args.index} out of range (corpus has {len(records)})")
     record = records[args.index]
-    graph = build_graph(record, mode=args.mode or "syntax", max_len=args.max_len)
+    graph = build_graph(record, mode=args.mode or ADJACENCY_MODES[0], max_len=args.max_len)
     print(f"record {args.index}: {len(record)} token(s), {len(record.sent_bounds)} sentence(s)")
     print("tokens:", " ".join(record.tokens))
     print("adjacency:")

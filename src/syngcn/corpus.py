@@ -10,10 +10,10 @@ A corpus file is UTF-8 JSON lines, one record per line:
                  sentences (may be omitted for single-sentence records).
 ``heads``        one entry per token: the 1-based position of its head
                  *within its own sentence* (never the token itself), or 0
-                 for the sentence root.
+                 for a sentence root; every sentence has at least one root.
 ``label``        class id, or a name from the configured class set (see
                  LABEL_SETS); a name from the other set is a CorpusError
-                 naming the line.  Optional under the "eval" schema.
+                 naming the line.  Optional under "eval"; unread with classes=None.
 
 Records longer than ``max_len`` tokens are truncated (counted in the
 load report); a head pointing past the cut becomes a root.
@@ -90,6 +90,8 @@ class Record:
                     )
                 if self.heads[t] == t - start + 1:
                     raise CorpusError(f"{where}: token {t} is its own head")
+            if 0 not in self.heads[start:stop]:
+                raise CorpusError(f"{where}: sentence [{start}, {stop}) has no root")
         if classes is not None and self.label is not None and not 0 <= self.label < classes:
             raise CorpusError(f"{where}: label {self.label} not in [0, {classes})")
 
@@ -137,14 +139,14 @@ def _truncate(record: Record, max_len: int) -> Record:
 def load_corpus(
     path,
     schema: str = "train",
-    classes: int = len(EMOTION_NAMES),
+    classes: int | None = len(EMOTION_NAMES),
     max_len: int = MAX_TOKENS,
 ) -> tuple[list[Record], LoadReport]:
     """Read and validate a JSON-lines corpus file.
 
     ``schema`` is "train" (label required) or "eval" (label optional,
-    e.g. for prediction inputs).  Returns the records in file order plus
-    a LoadReport counting truncations.
+    e.g. for prediction inputs); ``classes=None`` reads no labels at all.
+    Returns the records in file order plus a LoadReport counting truncations.
     """
     if schema not in ("train", "eval"):
         raise ValueError(f"unknown schema {schema!r}")
@@ -169,12 +171,11 @@ def load_corpus(
                 raise CorpusError(f"{where}: sent_bounds must be a list of [start, stop] pairs")
             bounds = [tuple(_int_list(span, "a sent_bounds span", where, 2)) for span in spans]
             bounds = bounds or [(0, len(tokens))]
-            if "label" in raw and raw["label"] is not None:
-                label = _parse_label(raw["label"], classes, where)
-            elif schema == "train":
+            label = None if classes is None else raw.get("label")
+            if label is not None:
+                label = _parse_label(label, classes, where)
+            elif schema == "train" and classes is not None:
                 raise CorpusError(f"{where}: label required under train schema")
-            else:
-                label = None
             record = Record(tuple(tokens), tuple(bounds), tuple(heads), label)
             record.validate(classes=classes, where=where)
             if len(record) > max_len:

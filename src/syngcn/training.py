@@ -324,7 +324,7 @@ def total_loss(
 
 
 class Adam:
-    """Adam with decoupled weight decay (applied directly to the weights)."""
+    """Adam with decoupled weight decay; ``step`` binds each ``p.data`` to a new array, never writing into one."""
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 0.001, weight_decay: float = 0.0):
         self.named_params = list(named_params)
@@ -336,19 +336,15 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
+        c1, c2 = 1 - ADAM_BETA1**self.t, 1 - ADAM_BETA2**self.t
+        decay = 1.0 - self.lr * self.weight_decay  # exactly 1.0 without weight decay
         for name, p in self.named_params:
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            elif not np.all(np.isfinite(g)):
+            g = 0.0 if p.grad is None else p.grad
+            if not np.all(np.isfinite(g)):
                 raise OptimizationError(f"non-finite gradient in {name}")
-            if self.weight_decay > 0:
-                p.data = p.data * (1.0 - self.lr * self.weight_decay)
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
-            m_hat = self.m[name] / (1 - ADAM_BETA1**self.t)
-            v_hat = self.v[name] / (1 - ADAM_BETA2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            m = self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            v = self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
+            p.data = p.data * decay - self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,15 @@ class TestInspectGraph:
         out = capsys.readouterr().out
         assert out.count(" 0.500") == 4
 
+    @pytest.mark.parametrize("label", ["positive", "happiness", 9, None], ids=["polarity", "emotion", "9", "none"])
+    def test_labels_are_ignored(self, tmp_path, capsys, label):
+        corpus = tmp_path / "labeled.jsonl"
+        row = {"tokens": ["a", "b"], "heads": [0, 1]}
+        self.write_corpus(corpus, [row if label is None else {**row, "label": label}])
+        assert main(["inspect-graph", "--corpus", str(corpus)]) == 0
+        out = capsys.readouterr().out
+        assert "normalized adjacency:" in out and out.count(" 0.500") == 4
+
     @pytest.mark.parametrize("row", [{"tokens": ["a"], "heads": 3}, {"tokens": ["a"], "heads": ["x"]}])
     def test_mistyped_corpus_line_fails_cleanly(self, tmp_path, capsys, row):
         corpus = tmp_path / "bad.jsonl"

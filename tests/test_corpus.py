@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,9 +87,14 @@ class TestLoadCorpus:
         for row, problem in (
             ({"tokens": ["a", "b"], "heads": [3, 0], "label": 0}, "head 3 of token 0 outside"),
             ({"tokens": ["a", "b", "c"], "heads": [2, 2, 2], "label": 0}, "token 1 is its own head"),
+            ({"tokens": ["a", "b"], "heads": [2, 1], "label": 0}, "sentence [0, 2) has no root"),
+            (
+                {"tokens": list("abcd"), "sent_bounds": [[0, 2], [2, 4]], "heads": [0, 1, 2, 1], "label": 0},
+                "sentence [2, 4) has no root",
+            ),
         ):
             write_lines(path, [row])
-            with pytest.raises(CorpusError, match=f"line 1: {problem}"):
+            with pytest.raises(CorpusError, match=f"line 1: {re.escape(problem)}"):
                 load_corpus(path)
 
     @pytest.mark.parametrize(
@@ -115,6 +121,14 @@ class TestLoadCorpus:
             load_corpus(path, schema="train")
         records, _ = load_corpus(path, schema="eval")
         assert records[0].label is None
+
+    def test_no_classes_reads_no_labels(self, tmp_path):
+        path = tmp_path / "any.jsonl"
+        write_lines(path, [{"tokens": ["a"], "heads": [0], "label": value} for value in ("positive", "x", 9, [1])]
+                    + [{"tokens": ["a"], "heads": [0]}])
+        for schema in ("train", "eval"):
+            records, _ = load_corpus(path, schema=schema, classes=None)
+            assert [rec.label for rec in records] == [None] * 5
 
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "range.jsonl"
@@ -183,7 +197,7 @@ class TestLoadCorpus:
             load_corpus(path, max_len=5)
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(CORPUS_ROWS, st.sampled_from(list(LABEL_SETS)))
+    @given(CORPUS_ROWS, st.sampled_from([*LABEL_SETS, None]))
     def test_any_json_record_loads_or_raises_corpus_error(self, tmp_path, raw, classes):
         path = tmp_path / "fuzz.jsonl"
         write_lines(path, [raw])
@@ -195,7 +209,9 @@ class TestLoadCorpus:
             for rec in records:
                 rec.validate(classes=classes)
                 assert len(rec) <= 4
-                if isinstance(raw.get("label"), str):
+                if classes is None:
+                    assert rec.label is None
+                elif isinstance(raw.get("label"), str):
                     assert label_names(classes)[rec.label] == raw["label"]
 
     def test_round_trip(self, tmp_path):

@@ -434,24 +434,42 @@ def test_shape_data_invariant():
         assert int(np.prod(t.shape)) == t.size
 
 
+def _stores(node: ast.AST, scope: str = ""):
+    """(enclosing def, statement, target, base) for every store target of an assignment under ``node``.
+
+    ``base`` is the target with its subscripts stripped; the enclosing def is dotted, as in ``Adam.step``.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _stores(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for top in child.targets if isinstance(child, ast.Assign) else [child.target]:
+                for target in (t for t in ast.walk(top) if isinstance(getattr(t, "ctx", None), ast.Store)):
+                    base = target
+                    while isinstance(base, ast.Subscript):
+                        base = base.value
+                    yield scope, child, target, base
+        yield from _stores(child, scope)
+
+
+def _is_attr(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == name
+
+
 def grad_writes(source: str) -> list[int]:
     """Lines of ``source`` that write into a ``.grad`` array: ``x.grad[...] = ...`` or ``x.grad op= ...``.
 
     Rebinding (``x.grad = ...``) is allowed: gradients are read-only and may share memory.
     """
-    lines = set()
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            continue
-        for top in node.targets if isinstance(node, ast.Assign) else [node.target]:
-            for target in (t for t in ast.walk(top) if isinstance(getattr(t, "ctx", None), ast.Store)):
-                base = target
-                while isinstance(base, ast.Subscript):
-                    base = base.value
-                into = base is not target or isinstance(node, ast.AugAssign)
-                if isinstance(base, ast.Attribute) and base.attr == "grad" and into:
-                    lines.add(node.lineno)
-    return sorted(lines)
+    return sorted({node.lineno for _, node, target, base in _stores(ast.parse(source))
+                   if _is_attr(base, "grad") and (base is not target or isinstance(node, ast.AugAssign))})
+
+
+def data_writes(source: str) -> list[tuple[str, int]]:
+    """(enclosing def, line) of each statement in ``source`` that assigns ``x.data`` or into ``x.data[...]``."""
+    return sorted({(scope, node.lineno) for scope, node, _, base in _stores(ast.parse(source))
+                   if _is_attr(base, "data")})
 
 
 def test_src_never_writes_into_a_grad():
@@ -461,3 +479,19 @@ def test_src_never_writes_into_a_grad():
     src = Path(__file__).resolve().parent.parent / "src" / "syngcn"
     found = {path.name: grad_writes(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_adam_replaces_a_model_array():
+    # A model array is set when its Tensor is built and replaced only by Adam.step, in one statement;
+    # everything else, BatchNorm's running statistics included, writes into arrays it already holds.
+    sample = ("class Tensor:\n    def __init__(self, d):\n        self.data = d\n"
+              "class Adam:\n    def step(self, p):\n        p.data = p.data * 2\n        p.data[0] += 1\n"
+              "def f(x, y):\n    x.data[1:] *= 2\n    a, y.data = 1, 2\n    x.data.flags.writeable = False\n"
+              "    y[x.data[0]] = x.data\n    def g(): x.data: float = 3.0\n")
+    assert data_writes(sample) == [("Adam.step", 6), ("Adam.step", 7), ("Tensor.__init__", 3), ("f", 9),
+                                   ("f", 10), ("f.g", 13)]
+    src = Path(__file__).resolve().parent.parent / "src" / "syngcn"
+    writes = [f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
+              for scope, _ in data_writes(path.read_text(encoding="utf-8"))]
+    assert set(writes) <= {"tensor.py:Tensor.__init__", "training.py:Adam.step"}, writes
+    assert writes.count("training.py:Adam.step") == 1, writes

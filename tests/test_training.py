@@ -277,6 +277,30 @@ class TestAdam:
         opt.step()
         assert w.data[0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5))
 
+    def test_missing_gradient_moves_like_a_zero_gradient(self):
+        # Weight decay still applies to a parameter that got no gradient, to the same bytes as a zero one.
+        start = np.array([2.0, -3.0, 0.5])
+        missing, zero = Tensor(start.copy(), requires_grad=True), Tensor(start.copy(), requires_grad=True)
+        opt = Adam([("missing", missing), ("zero", zero)], lr=0.1, weight_decay=0.5)
+        zero.grad = np.zeros(3)
+        for _ in range(3):
+            opt.step()
+        assert missing.grad is None and not np.array_equal(missing.data, start)
+        assert missing.data.tobytes() == zero.data.tobytes()
+        assert opt.m["missing"].tobytes() == opt.m["zero"].tobytes()
+        assert opt.v["missing"].tobytes() == opt.v["zero"].tobytes()
+
+    def test_step_replaces_each_array(self):
+        # An array held from before a step keeps its values: the step binds a new one.
+        w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        opt = Adam([("w", w)], lr=0.1, weight_decay=0.5)
+        held, before = w.data, w.data.copy()
+        w.grad = np.array([0.5, -0.5])
+        opt.step()
+        assert w.data is not held
+        np.testing.assert_array_equal(held, before)
+        assert not np.array_equal(w.data, before)
+
 
 def tiny_config(**overrides):
     base = dict(
