@@ -83,11 +83,9 @@ class LstmCell:
         """
         hid, n = self.hidden, x.shape[0]
         bounds = _segment_bounds(x, lengths)
-        # The rule stacks the per-gate arrays again: a stacked copy held by
-        # every tape op would pin weight-sized arrays per batch.
-        w_x, w_h, bias = ([part[gate].data for gate in self.GATES] for part in (self.w_x, self.w_h, self.bias))
-        z_x = x.data @ np.hstack(w_x) + np.hstack(bias)
-        w_h_all = np.hstack(w_h)
+        # Each weight set with its gates side by side, in GATES order.
+        w_x, w_h, bias = (np.hstack([p[gate].data for gate in self.GATES]) for p in (self.w_x, self.w_h, self.bias))
+        z_x = x.data @ w_x + bias
         scale = np.repeat([0.5, 0.5, 0.5, 1.0], hid)  # sigmoid for i, f, o; tanh for g
         shift = 1.0 - scale
         acts = np.empty((n, 4 * hid))  # the gate values i, f, o, g per row
@@ -104,7 +102,7 @@ class LstmCell:
         h = c = np.zeros((len(order), hid))
         for rows in steps:
             k = len(rows)
-            z = z_x[rows] + h[:k] @ w_h_all
+            z = z_x[rows] + h[:k] @ w_h
             a = scale * np.tanh(scale * z) + shift
             i, f, o, g = a.reshape(k, 4, hid).swapaxes(0, 1)
             c = f * c[:k] + i * g
@@ -119,7 +117,7 @@ class LstmCell:
             i, f, o, g = acts.reshape(n, 4, hid).swapaxes(0, 1)
             # Rows start as d(activation)/d(pre-activation); a step multiplies in dc or dh times a factor.
             dz = scale * scale - (acts - shift) ** 2  # a(1 - a) for i, f, o; 1 - g^2 for g
-            factors, o_dtanh_c, w_h_t = np.hstack([g, c_prev, tanh_c, i]), o * (1.0 - tanh_c**2), np.hstack(w_h).T
+            factors, o_dtanh_c = np.hstack([g, c_prev, tanh_c, i]), o * (1.0 - tanh_c**2)
             dh_next, dc_next = np.zeros((2, len(order), hid))
             for rows in reversed(steps):
                 k = len(rows)
@@ -127,10 +125,10 @@ class LstmCell:
                 dc = dh * o_dtanh_c[rows] + dc_next[:k]
                 dz_t = dz[rows] * (np.hstack([dc, dc, dh, dc]) * factors[rows])
                 dz[rows] = dz_t
-                dh_next[:k], dc_next[:k] = dz_t @ w_h_t, dc * f[rows]
+                dh_next[:k], dc_next[:k] = dz_t @ w_h.T, dc * f[rows]
             dw_x, dw_h, db = x.data.T @ dz, h_prev.T @ dz, dz.sum(axis=0, keepdims=True)
             per_gate = [d[:, k * hid : (k + 1) * hid] for k in range(4) for d in (dw_x, dw_h, db)]
-            return (dz @ np.hstack(w_x).T, *per_gate)  # per_gate in parameters() order
+            return (dz @ w_x.T, *per_gate)  # per_gate in parameters() order
 
         return T.apply_op((x, *(p for _, p in self.parameters())), hs, rule)
 

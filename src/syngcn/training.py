@@ -72,6 +72,10 @@ def _parse_bool(raw: str) -> bool:
 # fields) and the parser of a --set string.
 _FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 _PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+# Each numeric field's smallest value, and the values a choice field takes.
+_LEAST = {"embedding_size": 1, "hidden_neurons": 1, "lstm_layers": 1, "batch_size": 1, "epochs": 1, "max_len": 1,
+          "min_count": 1, "seed": 0, "dropout": 0, "pooling_p": 0, "lambda_orth": 0, "lambda_l2": 0, "weight_decay": 0}
+_CHOICES = {"pooling": POOLING_MODES, "adjacency_mode": ADJACENCY_MODES, "classes": tuple(LABEL_SETS)}
 
 
 @dataclass(frozen=True)
@@ -99,30 +103,21 @@ class TrainConfig:
 
     def __post_init__(self):
         for field in fields(self):
-            value, kind = getattr(self, field.name), field.type
+            name, kind, value = field.name, field.type, getattr(self, field.name)
             typed = isinstance(value, _FIELD_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
             if not typed or (kind == "float" and not math.isfinite(value)):
                 wanted = "finite float" if kind == "float" else kind
-                raise ConfigError(f"{field.name} expects {wanted}, got {value!r}")
-        if self.embedding_size < 1 or self.hidden_neurons < 1 or self.lstm_layers < 1:
-            raise ConfigError("model dimensions must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
-        if self.pooling not in POOLING_MODES:
-            raise ConfigError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
-        if not 0.0 <= self.pooling_p <= 100.0:
-            raise ConfigError(f"pooling_p {self.pooling_p} outside [0, 100]")
-        if self.adjacency_mode not in ADJACENCY_MODES:
-            raise ConfigError(f"adjacency_mode must be one of {ADJACENCY_MODES}")
-        if self.classes not in LABEL_SETS:
-            raise ConfigError(f"classes must be {' or '.join(map(str, LABEL_SETS))}, got {self.classes}")
-        if min(self.lambda_orth, self.lambda_l2, self.weight_decay) < 0:
-            raise ConfigError("regularization rates must be non-negative")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1 or self.max_len < 1:
-            raise ConfigError("learning_rate, batch_size, epochs, max_len must be positive")
-        for name, least in (("seed", 0), ("min_count", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
+                raise ConfigError(f"{name} expects {wanted}, got {value!r}")
+            if name in _LEAST and value < _LEAST[name]:
+                raise ConfigError(f"{name} must be at least {_LEAST[name]}, got {value}")
+            if name in _CHOICES and value not in _CHOICES[name]:
+                raise ConfigError(f"{name} must be one of {_CHOICES[name]}, got {value!r}")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be above 0, got {self.learning_rate}")
+        if self.dropout >= 1:
+            raise ConfigError(f"dropout must be below 1, got {self.dropout}")
+        if self.pooling_p > 100:
+            raise ConfigError(f"pooling_p must be at most 100, got {self.pooling_p}")
 
     @property
     def gcn_shape(self) -> tuple[int, int]:
@@ -566,6 +561,8 @@ def _read_checkpoint(fh, path) -> Model:
             arr.byteswap(inplace=True)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: array {name} holds non-finite values")
+        if name == "batch_norm.running_var" and (arr < 0).any():
+            raise CheckpointError(f"{path}: array {name} holds negative variances")
 
     return Model(config, vocab, fill=read_into)
 

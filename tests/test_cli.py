@@ -99,8 +99,10 @@ class TestTrain:
             (["--config", "{tmp}/cfg.json"], "epochs"),
             (["--set", "epochs=abc"], "epochs"),
             (["--set", "dropout=0.5x"], "dropout"),
+            (["--set", "hidden_neurons=0"], "hidden_neurons"),
+            (["--set", "weight_decay=-1"], "weight_decay"),
         ],
-        ids=["config-file", "set-int", "set-float"],
+        ids=["config-file", "set-int", "set-float", "set-zero-size", "set-negative-rate"],
     )
     def test_mistyped_config_value_fails_with_config_message(self, workspace, tmp_path, capsys, options, field):
         (tmp_path / "cfg.json").write_text(json.dumps({"epochs": "3"}))

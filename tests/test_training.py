@@ -77,11 +77,22 @@ class TestTrainConfig:
             {"lstm_layers": 0},
             {"seed": -1},
             {"min_count": 0},
+            {"embedding_size": 0},
+            {"hidden_neurons": 0},
+            {"batch_size": 0},
+            {"epochs": 0},
+            {"max_len": 0},
+            {"lambda_l2": -1.0},
+            {"weight_decay": -1.0},
+            {"pooling_p": -1.0},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
-        with pytest.raises(ConfigError):
+        [(field, value)] = overrides.items()
+        with pytest.raises(ConfigError) as info:
             TrainConfig(**overrides)
+        message = str(info.value)
+        assert message.startswith(f"{field} ") and message.endswith(repr(value)), message
 
     def test_round_trip_dict(self):
         config = TrainConfig(hidden_neurons=8, classes=2, pooling="average")
@@ -757,6 +768,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"is not the config's \\('{array}'"):
             load_checkpoint(bad)
 
+    def test_out_of_range_config_names_field_and_value(self, trained, tmp_path):
+        _, path, _ = trained
+        bad = tmp_path / "zero.sgcn"
+        zero = self._rewrite_header(path.read_bytes(), lambda header: header["config"].update(hidden_neurons=0))
+        bad.write_bytes(zero)
+        with pytest.raises(CheckpointError, match="corrupt header: hidden_neurons must be at least 1, got 0"):
+            load_checkpoint(bad)
+
     def test_large_max_len_loads_without_an_fc_head(self, trained, tmp_path):
         _, path, _ = trained
         wide = tmp_path / "wide.sgcn"
@@ -823,6 +842,16 @@ class TestCheckpoint:
         bad = tmp_path / "nonfinite.sgcn"
         save_checkpoint(model, bad)
         with pytest.raises(CheckpointError, match=name):
+            load_checkpoint(bad)
+
+    def test_negative_running_variance_rejected(self, trained, tmp_path):
+        # A flipped sign bit: the variance's square root would be NaN in every prediction.
+        _, path, _ = trained
+        model = load_checkpoint(path)
+        model.batch_norm.running_var[-1] *= -1.0
+        bad = tmp_path / "negative.sgcn"
+        save_checkpoint(model, bad)
+        with pytest.raises(CheckpointError, match="batch_norm.running_var holds negative variances"):
             load_checkpoint(bad)
 
     @pytest.mark.parametrize("first", [None, 0, 1.5, True, ["a"], "DUPLICATE"])
