@@ -23,6 +23,7 @@ from .training import (
     CheckpointError,
     ConfigError,
     OptimizationError,
+    ScoreError,
     TrainConfig,
     load_checkpoint,
     load_config,
@@ -133,7 +134,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     records = _load(args.test, model.config.max_len, model.config.classes, "evaluation")
-    pred, _ = model.predict(records)
+    try:
+        pred, _ = model.predict(records)
+    except ScoreError as exc:
+        raise CheckpointError(f"{args.checkpoint}: {exc}") from None
     report = evaluate(pred, [rec.label for rec in records], model.config.classes)
     print(report.format_table())
     if args.out:
@@ -145,7 +149,10 @@ def _cmd_eval(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     records = _load(args.test, model.config.max_len, model.config.classes)
-    lines = predictions_to_lines(model, records)
+    try:
+        lines = predictions_to_lines(model, records)
+    except ScoreError as exc:
+        raise CheckpointError(f"{args.checkpoint}: {exc}") from None
     if args.out:
         write_lines(args.out, lines)
     else:

@@ -56,6 +56,10 @@ class OptimizationError(RuntimeError):
     """Optimizer aborted (e.g. a non-finite gradient)."""
 
 
+class ScoreError(ValueError):
+    """A model's weights give a record non-finite class scores."""
+
+
 POOLING_MODES = ("percentile", "average", "fc")
 
 DEFAULT_SEED = 42
@@ -236,12 +240,16 @@ class Model:
         graph = build_graph(record, self.config.adjacency_mode, self.config.max_len)
         return self.vocab.encode(record.tokens), graph.normalized
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite row ends in a ScoreError
     def probabilities(self, encoded: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """Class probability rows [len(encoded), C], batch_size encoded records at a time."""
         probs, size = np.zeros((len(encoded), self.config.classes)), self.config.batch_size
         with T.no_grad():
             for start in range(0, len(encoded), size):
                 probs[start : start + size] = T.softmax(self.forward_batch(encoded[start : start + size]).data)
+        bad = ~np.isfinite(probs).all(axis=1)
+        if bad.any():
+            raise ScoreError(f"record {int(bad.argmax())}: non-finite class scores")
         return probs
 
     def predict(self, records: list[Record]) -> tuple[list[int], np.ndarray]:
@@ -302,15 +310,11 @@ def total_loss(
     lambda_orth: float,
     lambda_l2: float,
 ) -> Tensor:
-    """Mean cross-entropy of [B, C] logits against B labels, plus orthogonality and L2 penalties."""
+    """Mean cross-entropy of [B, C] logits against B labels, plus both penalties, each times its lambda (0 adds 0)."""
     if logits.data.ndim != 2 or logits.shape[0] != len(labels) or not len(labels):
         raise ValueError("batch logits and labels must align and be non-empty")
-    loss = T.softmax_cross_entropy(logits, labels) * (1.0 / len(labels))
-    if lambda_orth > 0 and weights:
-        loss = loss + orthogonality_penalty(*weights) * lambda_orth
-    if lambda_l2 > 0 and weights:
-        loss = loss + l2_penalty(*weights) * lambda_l2
-    return loss
+    ce = T.softmax_cross_entropy(logits, labels) * (1.0 / len(labels))
+    return ce + orthogonality_penalty(*weights) * lambda_orth + l2_penalty(*weights) * lambda_l2
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +437,10 @@ def train(
             epoch_loss += loss.item() * len(idx)
         epoch_loss /= len(train_records)
 
-        train_probs, dev_probs = model.probabilities(encoded), model.probabilities(dev_encoded)
-        if not (np.isfinite(train_probs).all() and np.isfinite(dev_probs).all()):
-            raise OptimizationError(f"epoch {epoch}: non-finite class scores after the last batch")
+        try:
+            train_probs, dev_probs = model.probabilities(encoded), model.probabilities(dev_encoded)
+        except ScoreError:
+            raise OptimizationError(f"epoch {epoch}: non-finite class scores after the last batch") from None
         train_report = evaluate(train_probs.argmax(axis=1).tolist(), labels, config.classes)
         dev_report = evaluate(dev_probs.argmax(axis=1).tolist(), gold_dev, config.classes)
         history.append(_epoch_entry(epoch, epoch_loss, train_report, dev_report))

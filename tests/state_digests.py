@@ -1,4 +1,4 @@
-"""Print SHA-256 digests of the checkpoint and history of 12 fixed-seed training runs.
+"""Print SHA-256 digests of the checkpoint and history of 14 fixed-seed training runs.
 
 A change that should keep results bit-identical is checked by running this
 script at the parent revision and at the change, on the same host with the
@@ -7,9 +7,10 @@ same BLAS thread count, and comparing the two outputs with ``diff``:
     PYTHONPATH=src python tests/state_digests.py > digests.txt
 
 Each run trains 2 epochs (seed 7, dropout 0.5) on a 300-record root-label
-corpus split 80/20, at 16/16 and 300/180 embedding/hidden dimensions, with
-every pooling mode, and with and without weight decay.  pytest does not
-collect this file.
+corpus split 80/20, at 16/16 and 300/180 embedding/hidden dimensions: with
+every pooling mode, with and without weight decay, and once with percentile
+pooling and both penalty weights (``lambda_orth``, ``lambda_l2``) at 0.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from syngcn.synthetic import root_label_corpus, split_records
 from syngcn.training import POOLING_MODES, TrainConfig, save_checkpoint, save_history, train
 
 SIZES = ((16, 16), (300, 180))
-WEIGHT_DECAYS = (1e-8, 0.0)
+# (label, TrainConfig overrides) of each run at each size.
+RUNS = [(f"{pooling} weight_decay={decay}", dict(pooling=pooling, weight_decay=decay))
+        for pooling, decay in itertools.product(POOLING_MODES, (1e-8, 0.0))]
+RUNS.append(("percentile lambda_orth=lambda_l2=0", dict(pooling="percentile", lambda_orth=0.0, lambda_l2=0.0)))
 
 
 def main() -> None:
@@ -33,14 +37,14 @@ def main() -> None:
                                                np.random.default_rng(7))
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint, history = Path(tmp) / "model.sgcn", Path(tmp) / "model.history"
-        for (embedding, hidden), pooling, decay in itertools.product(SIZES, POOLING_MODES, WEIGHT_DECAYS):
-            config = TrainConfig(embedding_size=embedding, hidden_neurons=hidden, pooling=pooling,
-                                 weight_decay=decay, epochs=2, seed=7, dropout=0.5)
+        for (embedding, hidden), (label, overrides) in itertools.product(SIZES, RUNS):
+            config = TrainConfig(embedding_size=embedding, hidden_neurons=hidden, epochs=2, seed=7, dropout=0.5,
+                                 **overrides)
             result = train(config, train_records, dev_records)
             save_checkpoint(result.model, checkpoint)
             save_history(result.history, history)
             digests = (hashlib.sha256(path.read_bytes()).hexdigest() for path in (checkpoint, history))
-            print(f"{embedding}/{hidden} {pooling} weight_decay={decay}", *digests)
+            print(f"{embedding}/{hidden} {label}", *digests)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syngcn.cli import main
@@ -274,6 +274,27 @@ class TestEval:
         captured = capsys.readouterr()
         assert "checkpoint:" in captured.err and named in captured.err and "Traceback" not in captured.err
         assert "NaN" not in captured.out
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_overflowing_scores_fail_as_checkpoint_error(self, workspace, tmp_path, capsys, command, to_file):
+        # Every array is finite, so the file loads; the GCN product overflows and softmax gives NaN rows.
+        model = load_checkpoint(workspace["checkpoint"])
+        model.batch_norm.beta.data[...] = 1e308
+        model.gcn.weight.data[...] = np.abs(model.gcn.weight.data) + 1
+        bad = tmp_path / "overflow.sgcn"
+        save_checkpoint(model, bad)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--checkpoint", str(bad), "--test", str(workspace["corpus"]),
+                         *(["--out", str(out)] if to_file else [])])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"syngcn {command}: checkpoint: {bad}: record 0: non-finite class scores\n"
+        assert captured.out == "" and not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_deeply_nested_header_fails_cleanly(self, workspace, tmp_path, capsys):
         import struct
@@ -545,7 +566,7 @@ def _config_file(draw):
 
 
 class TestFuzz:
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=100)
     @given(data=st.data())
     def test_any_argv_exits_cleanly(self, workspace, tmp_path, capsys, data):
         cmd = data.draw(st.sampled_from(["inspect-graph", "predict", "eval", "train", "sweep"]))

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syngcn.corpus import (
@@ -160,6 +160,8 @@ class TestLoadCorpus:
             ({"sent_bounds": 5}, "sent_bounds must be a list"),
             ({"tokens": "ab"}, "tokens must be a list"),
             ({"tokens": [None, [1, 2], {"a": 1}], "heads": [0, 1, 1]}, "tokens must be a list of strings"),
+            ({"heads": [0]}, "1 heads for 2 tokens"),
+            ({"sent_bounds": [[0, 1]]}, "sentence spans cover 1 of 2 tokens"),
         ],
     )
     def test_mistyped_field_names_line_and_field(self, tmp_path, fields, message):
@@ -196,7 +198,7 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="line 1: head 99 of token 9"):
             load_corpus(path, max_len=5)
 
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=300)
     @given(CORPUS_ROWS, st.sampled_from([*LABEL_SETS, None]))
     def test_any_json_record_loads_or_raises_corpus_error(self, tmp_path, raw, classes):
         path = tmp_path / "fuzz.jsonl"
