@@ -3,10 +3,12 @@ From dependency parses to graph convolutions
 ============================================
 
 Each microblog arrives pre-parsed: tokens, sentence spans, and for every
-token the 1-based position of its syntactic head (0 marks the root).
-This demo builds the adjacency matrix for a two-sentence record, shows
-the symmetric degree normalization, and contrasts it with the all-ones
-ablation that discards the parse.
+token the 1-based position of its syntactic head (0 marks the root); each
+sentence's heads form a tree.  ``build_graph`` returns the one matrix the
+GCN reads, the normalized adjacency D^-1/2 A D^-1/2.  This demo builds it
+for a two-sentence record, recovers the 0/1 adjacency A as its support,
+shows the symmetric degree normalization, and contrasts it with the
+all-ones ablation that discards the parse.
 """
 
 import numpy as np
@@ -24,25 +26,28 @@ record = Record(
     label=0,
 )
 
-g = build_graph(record)
+a_hat = build_graph(record)  # the normalized adjacency the GCN reads
 
 # Adjacency: one row and column per token, self-loops on the diagonal,
 # one symmetric pair per head arc, and nothing across the sentence boundary.
-print("adjacency (%d x %d):" % g.adjacency.shape)
-print(g.adjacency)
+# Every entry of the normalized matrix is positive exactly where the 0/1
+# adjacency is 1, so the adjacency is its support.
+a = (a_hat > 0) * 1.0
+print("adjacency (%d x %d):" % a.shape)
+print(a)
 
 # Degrees differ, so normalization rescales each edge by both endpoints:
 # entry (i, j) becomes 1 / sqrt(deg_i * deg_j).
-deg = g.adjacency.sum(axis=1)
+deg = a.sum(axis=1)
 print("degrees:", deg)
 print("normalized:")
-print(g.normalized)
+print(a_hat)
 expected = 1.0 / np.sqrt(deg[0] * deg[1])
-print("entry (0, 1) equals 1/sqrt(deg0*deg1):", g.normalized[0, 1], "==", expected)
+print("entry (0, 1) equals 1/sqrt(deg0*deg1):", a_hat[0, 1], "==", expected)
 
 # The ablation wires every token to every other, parse and sentence
 # boundaries included.  After normalization each row is uniform: the
 # convolution then averages all tokens, erasing who modifies whom.
 flat = build_graph(record, mode="all_ones")
 print("\nall-ones normalized (every row uniform):")
-print(flat.normalized)
+print(flat)

@@ -11,7 +11,6 @@ reverse-mode autodiff engine over float64 numpy arrays.
 from .corpus import (
     EMOTION_NAMES,
     POLARITY_NAMES,
-    GraphMatrices,
     Record,
     Vocabulary,
     build_graph,
@@ -37,7 +36,6 @@ __all__ = [
     "EMOTION_NAMES",
     "POLARITY_NAMES",
     "EvalReport",
-    "GraphMatrices",
     "Model",
     "Record",
     "Tensor",

@@ -170,13 +170,13 @@ def _cmd_inspect_graph(args) -> int:
     if not 0 <= args.index < len(records):
         raise CorpusError(f"record index {args.index} out of range (corpus has {len(records)})")
     record = records[args.index]
-    graph = build_graph(record, mode=args.mode or ADJACENCY_MODES[0], max_len=args.max_len)
+    normalized = build_graph(record, mode=args.mode or ADJACENCY_MODES[0], max_len=args.max_len)
     print(f"record {args.index}: {len(record)} token(s), {len(record.sent_bounds)} sentence(s)")
     print("tokens:", " ".join(record.tokens))
     print("adjacency:")
-    print(_format_matrix(graph.adjacency))
+    print(_format_matrix((normalized > 0) * 1.0))  # A is the support of D^-1/2 A D^-1/2
     print("normalized adjacency:")
-    print(_format_matrix(graph.normalized))
+    print(_format_matrix(normalized))
     return 0
 
 

@@ -10,7 +10,8 @@ A corpus file is UTF-8 JSON lines, one record per line:
                  sentences (may be omitted for single-sentence records).
 ``heads``        one entry per token: the 1-based position of its head
                  *within its own sentence* (never the token itself), or 0
-                 for a sentence root; every sentence has at least one root.
+                 for a sentence root; every sentence has at least one root
+                 and its heads form a tree, with no cycle (check_trees).
 ``label``        class id, or a name from the configured class set (see
                  LABEL_SETS); a name from the other set is a CorpusError
                  naming the line.  Optional under "eval"; unread with classes=None.
@@ -19,11 +20,12 @@ Records longer than ``max_len`` tokens are truncated (counted in the
 load report); a head pointing past the cut becomes a root.
 
 The dependency graph of an n-token record is a symmetric n x n 0/1
-adjacency: one self-loop per token plus both directions of every head
+adjacency A: one self-loop per token plus both directions of every head
 arc, assembled block-diagonally per sentence so no edge crosses a
-sentence boundary.  Its symmetric normalization divides each entry by
-the square roots of both endpoint degrees (never zero, thanks to the
-self-loops).
+sentence boundary.  build_graph returns only its symmetric normalization
+D^-1/2 A D^-1/2, which divides each entry by the square roots of both
+endpoint degrees (never zero, thanks to the self-loops); A is the
+support of that matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -72,6 +75,9 @@ class Record:
         n = len(self.tokens)
         if n < 1:
             raise CorpusError(f"{where}: empty token list")
+        if not all(isinstance(t, str) for t in self.tokens):
+            i = next(i for i, t in enumerate(self.tokens) if not isinstance(t, str))
+            raise CorpusError(f"{where}: tokens must be a list of strings, token {i} is {self.tokens[i]!r:.60}")
         if len(self.heads) != n:
             raise CorpusError(f"{where}: {len(self.heads)} heads for {n} tokens")
         pos = 0
@@ -154,6 +160,7 @@ def load_corpus(
         raise ValueError(f"max_len must be positive, got {max_len}")
     report = LoadReport(path=str(path))
     records: list[Record] = []
+    line_nos: list[int] = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             where = f"{path}: line {line_no}"
@@ -163,7 +170,7 @@ def load_corpus(
             if not isinstance(raw, dict) or "tokens" not in raw or "heads" not in raw:
                 raise CorpusError(f"{where}: record needs tokens and heads fields")
             tokens = raw["tokens"]
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            if not isinstance(tokens, list):
                 raise CorpusError(f"{where}: tokens must be a list of strings, got {json.dumps(tokens)[:60]}")
             heads = _int_list(raw["heads"], "heads", where)
             spans = raw.get("sent_bounds", [])
@@ -178,12 +185,39 @@ def load_corpus(
                 raise CorpusError(f"{where}: label required under train schema")
             record = Record(tuple(tokens), tuple(bounds), tuple(heads), label)
             record.validate(classes=classes, where=where)
-            if len(record) > max_len:
-                record = _truncate(record, max_len)
-                report.truncated += 1
             records.append(record)
+            line_nos.append(line_no)
+    check_trees(records, lambda i: f"{path}: line {line_nos[i]}")
     report.records = len(records)
-    return records, report
+    report.truncated = sum(len(rec) > max_len for rec in records)
+    return [_truncate(rec, max_len) if len(rec) > max_len else rec for rec in records], report
+
+
+def check_trees(records, where=lambda i: f"record {i}") -> None:
+    """Raise a CorpusError naming ``where(i)`` for the first validated record whose heads form a cycle.
+
+    One NumPy pass over all records: every token points to its head's
+    index in the flattened corpus, and every root to a sentinel that
+    points to itself.  Each ``p = p[p]`` doubles how far the pointers
+    reach, so after bit_length(longest sentence) rounds every token of a
+    tree points to the sentinel; one that does not lies on or under a
+    cycle, and points to a token on it.
+    """
+    if not records:
+        return
+    sizes = [stop - start for rec in records for start, stop in rec.sent_bounds]
+    heads = np.fromiter(chain.from_iterable(rec.heads for rec in records), np.intp, sum(sizes))
+    sentinel = len(heads)
+    p = np.append(np.repeat(np.cumsum(sizes) - sizes - 1, sizes) + heads, sentinel)  # a head's flattened index
+    p[:-1][heads == 0] = sentinel
+    del heads
+    for _ in range(max(sizes).bit_length()):
+        p = p[p]
+    bad = np.flatnonzero(p[:-1] != sentinel)
+    if bad.size:
+        offsets = np.cumsum([0] + [len(rec) for rec in records])
+        i = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        raise CorpusError(f"{where(i)}: heads form a cycle through token {p[bad[0]] - offsets[i]}")
 
 
 def save_corpus(records, path) -> None:
@@ -259,30 +293,12 @@ def build_vocab(records, min_count: int = 1) -> Vocabulary:
 
 
 # ---------------------------------------------------------------------------
-# dependency-graph matrices
+# dependency graphs
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphMatrices:
-    """Adjacency and its symmetric normalization for one n-token record.
-
-    ``adjacency`` is n x n with entries in {0, 1}: a self-loop on every
-    token plus symmetric head arcs, zero across sentence boundaries.
-    ``normalized`` rescales each entry by the inverse square roots of
-    both endpoint degrees.  Both are read-only.
-    """
-
-    adjacency: np.ndarray
-    normalized: np.ndarray
-
-    def real_block(self) -> np.ndarray:
-        """Alias of ``normalized``, which tests/test_acceptance.py calls by this name."""
-        return self.normalized
-
-
-def build_graph(record: Record, mode: str = "syntax", max_len: int = MAX_TOKENS) -> GraphMatrices:
-    """The n x n adjacency matrices of one validated n-token record.
+def build_graph(record: Record, mode: str = "syntax", max_len: int = MAX_TOKENS) -> np.ndarray:
+    """The read-only n x n normalized adjacency D^-1/2 A D^-1/2 of one validated n-token record.
 
     "syntax" wires the dependency arcs (plus self-loops, both
     directions); "all_ones" is the no-syntax ablation where every token
@@ -305,6 +321,5 @@ def build_graph(record: Record, mode: str = "syntax", max_len: int = MAX_TOKENS)
         a[t, g] = a[g, t] = 1.0
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     normalized = a * inv_sqrt[:, None] * inv_sqrt[None, :]
-    a.setflags(write=False)
     normalized.setflags(write=False)
-    return GraphMatrices(adjacency=a, normalized=normalized)
+    return normalized

@@ -205,11 +205,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return apply_op(tuple(tensors), data, rule)
 
 
-def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack tensors along axis 0."""
-    return concat(tensors, axis=0)
-
-
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """Rows [start, stop) of a 2-D tensor."""
     a = _as_tensor(a)

@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .corpus import (ADJACENCY_MODES, LABEL_SETS, MAX_TOKENS, Record, Vocabulary, build_graph, build_vocab,
-                     label_names)
+from .corpus import (ADJACENCY_MODES, LABEL_SETS, MAX_TOKENS, CorpusError, Record, Vocabulary, build_graph,
+                     build_vocab, check_trees, label_names)
 from .files import atomic_open, parse_json, write_lines
 from .layers import (
     BatchNorm,
@@ -237,8 +237,7 @@ class Model:
         return self._pool(self.gcn(features, *(adj for _, adj in encoded)), lengths)
 
     def encode(self, record: Record) -> tuple[np.ndarray, np.ndarray]:
-        graph = build_graph(record, self.config.adjacency_mode, self.config.max_len)
-        return self.vocab.encode(record.tokens), graph.normalized
+        return self.vocab.encode(record.tokens), build_graph(record, self.config.adjacency_mode, self.config.max_len)
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite row ends in a ScoreError
     def probabilities(self, encoded: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -392,10 +391,14 @@ def train(
     """
     if not train_records or not dev_records:
         raise ConfigError("training and dev corpora must be non-empty")
-    for i, rec in enumerate(train_records + dev_records):
+    records = train_records + dev_records
+    for i, rec in enumerate(records):
         if rec.label is None:
             raise ConfigError(f"record {i} has no label")
         rec.validate(classes=config.classes, where=f"record {i}")
+        if len(rec) > config.max_len:
+            raise CorpusError(f"record {i}: {len(rec)} tokens exceed max_len {config.max_len}")
+    check_trees(records)
 
     vocab = build_vocab(train_records, min_count=config.min_count)
     rng = np.random.default_rng(config.seed)

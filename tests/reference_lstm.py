@@ -50,4 +50,4 @@ def run(cell: LstmCell, x: Tensor, reverse: bool = False) -> Tensor:
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
         h, c = step(cell, T.slice_rows(x, t, t + 1), h, c)
         out[t] = h
-    return T.concat_rows(out)
+    return T.concat(out)

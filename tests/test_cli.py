@@ -355,6 +355,39 @@ class TestPredict:
         assert a.read_bytes() == b.read_bytes()
 
 
+# inspect-graph's full stdout for a record of two 2-token sentences.
+TWO_SENTENCE_DISPLAY = {
+    "syntax": """\
+record 0: 4 token(s), 2 sentence(s)
+tokens: a b c d
+adjacency:
+ 1.000   1.000   0.000   0.000
+ 1.000   1.000   0.000   0.000
+ 0.000   0.000   1.000   1.000
+ 0.000   0.000   1.000   1.000
+normalized adjacency:
+ 0.500   0.500   0.000   0.000
+ 0.500   0.500   0.000   0.000
+ 0.000   0.000   0.500   0.500
+ 0.000   0.000   0.500   0.500
+""",
+    "all_ones": """\
+record 0: 4 token(s), 2 sentence(s)
+tokens: a b c d
+adjacency:
+ 1.000   1.000   1.000   1.000
+ 1.000   1.000   1.000   1.000
+ 1.000   1.000   1.000   1.000
+ 1.000   1.000   1.000   1.000
+normalized adjacency:
+ 0.250   0.250   0.250   0.250
+ 0.250   0.250   0.250   0.250
+ 0.250   0.250   0.250   0.250
+ 0.250   0.250   0.250   0.250
+""",
+}
+
+
 class TestInspectGraph:
     def write_corpus(self, path, rows):
         with open(path, "w", encoding="utf-8") as fh:
@@ -383,6 +416,14 @@ class TestInspectGraph:
         assert main(["inspect-graph", "--corpus", str(corpus), "--mode", "all_ones"]) == 0
         out = capsys.readouterr().out
         assert out.count(" 0.500") == 4
+
+    @pytest.mark.parametrize("mode", ["syntax", "all_ones"])
+    def test_two_sentence_display(self, tmp_path, capsys, mode):
+        corpus = tmp_path / "two.jsonl"
+        self.write_corpus(corpus, [{"tokens": ["a", "b", "c", "d"], "sent_bounds": [[0, 2], [2, 4]],
+                                    "heads": [0, 1, 2, 0]}])
+        assert main(["inspect-graph", "--corpus", str(corpus), "--mode", mode]) == 0
+        assert capsys.readouterr().out == TWO_SENTENCE_DISPLAY[mode]
 
     @pytest.mark.parametrize("label", ["positive", "happiness", 9, None], ids=["polarity", "emotion", "9", "none"])
     def test_labels_are_ignored(self, tmp_path, capsys, label):
@@ -437,6 +478,31 @@ def test_every_corpus_reader_notes_truncated_records(workspace, tmp_path, capsys
     }[command]
     assert main([command, *args]) == 0
     assert f"note: truncated 1 over-long record(s) in {corpus}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "inspect-graph"])
+@pytest.mark.parametrize(
+    "row, token",
+    [
+        ({"tokens": list("abc"), "heads": [0, 3, 2], "label": 0}, 1),
+        ({"tokens": list("abcde"), "sent_bounds": [[0, 2], [2, 5]], "heads": [0, 1, 0, 3, 2], "label": 0}, 3),
+    ],
+    ids=["alone", "after-a-valid-sentence"],
+)
+def test_every_corpus_reader_rejects_a_head_cycle(workspace, tmp_path, capsys, command, row, token):
+    corpus = tmp_path / "cycle.jsonl"
+    corpus.write_text(json.dumps({"tokens": ["a"], "heads": [0], "label": 0}) + "\n" + json.dumps(row) + "\n")
+    checkpoint = ["--checkpoint", str(workspace["checkpoint"]), "--test", str(corpus)]
+    args = {
+        "train": ["--train", str(corpus), "--checkpoint", str(tmp_path / "x.sgcn"), *TINY],
+        "eval": checkpoint,
+        "predict": checkpoint,
+        "inspect-graph": ["--corpus", str(corpus)],
+    }[command]
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert err == f"syngcn {command}: corpus: {corpus}: line 2: heads form a cycle through token {token}\n"
+    assert not (tmp_path / "x.sgcn").exists()
 
 
 class TestSweep:

@@ -1,4 +1,4 @@
-"""Corpus ingestion, vocabulary, and dependency-graph matrix tests."""
+"""Corpus ingestion, vocabulary, and dependency-graph tests."""
 
 import json
 import math
@@ -20,6 +20,7 @@ from syngcn.corpus import (
     binarize_records,
     build_graph,
     build_vocab,
+    check_trees,
     label_names,
     load_corpus,
     save_corpus,
@@ -92,10 +93,22 @@ class TestLoadCorpus:
                 {"tokens": list("abcd"), "sent_bounds": [[0, 2], [2, 4]], "heads": [0, 1, 2, 1], "label": 0},
                 "sentence [2, 4) has no root",
             ),
+            ({"tokens": ["a", "b", "c"], "heads": [0, 3, 2], "label": 0}, "heads form a cycle through token 1"),
+            (
+                {"tokens": list("abcde"), "sent_bounds": [[0, 2], [2, 5]], "heads": [0, 1, 0, 3, 2], "label": 0},
+                "heads form a cycle through token 3",
+            ),
         ):
             write_lines(path, [row])
             with pytest.raises(CorpusError, match=f"line 1: {re.escape(problem)}"):
                 load_corpus(path)
+
+    def test_head_cycle_past_the_cut_rejected(self, tmp_path):
+        # Truncation would break this cycle; the line is still rejected, as every other check runs before the cut.
+        path = tmp_path / "long.jsonl"
+        write_lines(path, [{"tokens": [f"w{i}" for i in range(8)], "heads": [0] * 6 + [8, 7], "label": 0}])
+        with pytest.raises(CorpusError, match="line 1: heads form a cycle through token 6$"):
+            load_corpus(path, max_len=5)
 
     @pytest.mark.parametrize(
         "classes,name,label",
@@ -210,6 +223,7 @@ class TestLoadCorpus:
         else:
             for rec in records:
                 rec.validate(classes=classes)
+                assert reaches_roots(rec)
                 assert len(rec) <= 4
                 if classes is None:
                     assert rec.label is None
@@ -292,6 +306,41 @@ def normalize_oracle(a):
     return np.diag(inv) @ a @ np.diag(inv)
 
 
+def arc_oracle(rec):
+    """The 0/1 adjacency from a record's heads, one arc at a time: self-loops plus both directions of each arc."""
+    a = np.eye(len(rec))
+    for start, stop in rec.sent_bounds:
+        for t in range(start, stop):
+            if rec.heads[t]:
+                a[t, start + rec.heads[t] - 1] = a[start + rec.heads[t] - 1, t] = 1.0
+    return a
+
+
+def reaches_roots(rec):
+    """Whether following heads from every token reaches a root, one step at a time."""
+    for start, stop in rec.sent_bounds:
+        for t in range(start, stop):
+            for _ in range(stop - start):
+                if rec.heads[t] == 0:
+                    break
+                t = start + rec.heads[t] - 1
+            else:
+                return False
+    return True
+
+
+def on_cycle(rec, token, start):
+    """Whether following heads from ``token`` (in the sentence starting at ``start``) comes back to it."""
+    t = token
+    for _ in range(len(rec)):
+        if rec.heads[t] == 0:
+            return False
+        t = start + rec.heads[t] - 1
+        if t == token:
+            return True
+    return False
+
+
 def random_tree_heads(rng, n):
     """Heads (1-based, 0=root) of a uniformly shuffled random tree."""
     order = rng.permutation(n)
@@ -316,32 +365,69 @@ def connected(block):
     return len(seen) == n
 
 
+class TestCheckTrees:
+    def test_empty_corpus_passes(self):
+        check_trees([])
+
+    def test_matches_walk_oracle(self):
+        # Random heads in range, with no self-heads and a root per sentence: some trees, many cycles.
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            records = []
+            for _ in range(int(rng.integers(1, 5))):
+                bounds, heads, pos = [], [], 0
+                for size in rng.integers(1, 9, size=int(rng.integers(1, 4))).tolist():
+                    sentence = [int(rng.choice([h for h in range(size + 1) if h != t + 1])) for t in range(size)]
+                    sentence[int(rng.integers(0, size))] = 0
+                    bounds.append((pos, pos + size))
+                    heads.extend(sentence)
+                    pos += size
+                records.append(make_record([f"w{i}" for i in range(pos)], heads, bounds=bounds))
+            bad = [i for i, rec in enumerate(records) if not reaches_roots(rec)]
+            if not bad:
+                check_trees(records)
+                continue
+            with pytest.raises(CorpusError, match=rf"^at {bad[0]}: heads form a cycle through token (\d+)$") as exc:
+                check_trees(records, lambda i: f"at {i}")
+            token, rec = int(exc.value.args[0].rsplit(" ", 1)[1]), records[bad[0]]
+            start = max(a for a, _ in rec.sent_bounds if a <= token)
+            assert on_cycle(rec, token, start)
+
+    def test_random_trees_pass(self):
+        rng = np.random.default_rng(41)
+        records = [make_record([f"w{i}" for i in range(n)], random_tree_heads(rng, n))
+                   for n in rng.integers(1, 60, size=200).tolist()]
+        check_trees(records)
+
+
 class TestBuildGraph:
     def test_single_token_self_loop(self):
         g = build_graph(make_record(["w"], [0]))
-        assert g.adjacency[0, 0] == 1.0
-        assert g.normalized[0, 0] == 1.0
-        assert g.adjacency.sum() == 1.0
+        a = (g > 0) * 1.0
+        assert a[0, 0] == 1.0
+        assert g[0, 0] == 1.0
+        assert a.sum() == 1.0
 
     def test_three_token_chain(self):
         g = build_graph(make_record(["a", "b", "c"], [2, 0, 2]))
-        np.testing.assert_array_equal(g.adjacency, [[1, 1, 0], [1, 1, 1], [0, 1, 1]])
-        np.testing.assert_array_equal(g.adjacency.sum(axis=1), [2, 3, 2])
-        assert g.normalized[0, 1] == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-15)
-        assert g.normalized[0, 0] == pytest.approx(0.5)
-        assert g.normalized[1, 1] == pytest.approx(1.0 / 3.0)
+        a = (g > 0) * 1.0
+        np.testing.assert_array_equal(a, [[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        np.testing.assert_array_equal(a.sum(axis=1), [2, 3, 2])
+        assert g[0, 1] == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-15)
+        assert g[0, 0] == pytest.approx(0.5)
+        assert g[1, 1] == pytest.approx(1.0 / 3.0)
 
     def test_two_token_all_ones(self):
         g = build_graph(make_record(["a", "b"], [0, 1]), mode="all_ones")
-        np.testing.assert_array_equal(g.adjacency, np.ones((2, 2)))
-        np.testing.assert_allclose(g.normalized, np.full((2, 2), 0.5))
+        np.testing.assert_array_equal((g > 0) * 1.0, np.ones((2, 2)))
+        np.testing.assert_allclose(g, np.full((2, 2), 0.5))
 
     def test_shape_is_n_by_n(self):
         for n in (1, 3, 17, MAX_TOKENS):
             rec = make_record([f"w{i}" for i in range(n)], [i + 2 for i in range(n - 1)] + [0])
             for mode in ("syntax", "all_ones"):
                 g = build_graph(rec, mode=mode)
-                assert g.adjacency.shape == g.normalized.shape == (n, n)
+                assert isinstance(g, np.ndarray) and g.shape == (n, n)
 
     def test_longer_than_max_len_rejected(self):
         with pytest.raises(CorpusError, match="exceeds max_len 2"):
@@ -349,11 +435,11 @@ class TestBuildGraph:
 
     def test_no_edge_crosses_sentences(self):
         rec = make_record(list("abcde"), [0, 1, 2, 0, 2], bounds=[(0, 2), (2, 5)])
-        g = build_graph(rec)
-        assert g.adjacency[:2, 2:].sum() == 0.0
-        assert g.adjacency[2:, :2].sum() == 0.0
+        a = (build_graph(rec) > 0) * 1.0
+        assert a[:2, 2:].sum() == 0.0
+        assert a[2:, :2].sum() == 0.0
         # second sentence wires locally: token 2 -> head 3, token 4 -> head 3
-        assert g.adjacency[2, 3] == 1.0 and g.adjacency[4, 3] == 1.0
+        assert a[2, 3] == 1.0 and a[4, 3] == 1.0
 
     def test_symmetric_bounded_entries(self):
         rng = np.random.default_rng(23)
@@ -361,8 +447,8 @@ class TestBuildGraph:
             n = int(rng.integers(1, 30))
             rec = make_record([f"w{i}" for i in range(n)], random_tree_heads(rng, n))
             g = build_graph(rec)
-            np.testing.assert_array_equal(g.normalized, g.normalized.T)
-            assert g.normalized.min() >= 0.0 and g.normalized.max() <= 1.0
+            np.testing.assert_array_equal(g, g.T)
+            assert g.min() >= 0.0 and g.max() <= 1.0
 
     def test_matches_dense_normalization_oracle(self):
         rng = np.random.default_rng(29)
@@ -370,7 +456,8 @@ class TestBuildGraph:
             n = int(rng.integers(1, 40))
             rec = make_record([f"w{i}" for i in range(n)], random_tree_heads(rng, n))
             g = build_graph(rec)
-            np.testing.assert_allclose(g.normalized, normalize_oracle(g.adjacency), atol=1e-12)
+            np.testing.assert_array_equal((g > 0) * 1.0, arc_oracle(rec))
+            np.testing.assert_allclose(g, normalize_oracle(arc_oracle(rec)), atol=1e-12)
 
     def test_tree_blocks_are_connected(self):
         rng = np.random.default_rng(31)
@@ -382,20 +469,19 @@ class TestBuildGraph:
                 heads.extend(random_tree_heads(rng, size))
                 pos += size
             rec = make_record([f"w{i}" for i in range(pos)], heads, bounds=bounds)
-            g = build_graph(rec)
+            a = (build_graph(rec) > 0) * 1.0
             for start, stop in bounds:
-                assert connected(g.adjacency[start:stop, start:stop])
+                assert connected(a[start:stop, start:stop])
 
     def test_pure_function(self):
         rec = make_record(["a", "b", "c"], [2, 0, 2])
         g1, g2 = build_graph(rec), build_graph(rec)
-        assert np.array_equal(g1.adjacency, g2.adjacency)
-        assert np.array_equal(g1.normalized, g2.normalized)
+        assert np.array_equal(g1, g2)
 
     def test_matrices_read_only(self):
         g = build_graph(make_record(["a"], [0]))
         with pytest.raises(ValueError):
-            g.adjacency[0, 0] = 5.0
+            g[0, 0] = 5.0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -120,7 +120,7 @@ class TestLstmCell:
             def separate(run):
                 def each(t):
                     parts = [T.slice_rows(t, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-                    return T.concat_rows([run(part) for part in parts])
+                    return T.concat([run(part) for part in parts])
 
                 return _cell_outputs_and_grads(each, cell, x, cot)
 
@@ -248,7 +248,7 @@ class TestBiLstm:
             if packed:
                 out = net(x, training=True, rng=drop_rng, lengths=lengths)
             else:
-                out = T.concat_rows([
+                out = T.concat([
                     net(T.slice_rows(x, a, b), training=True, rng=drop_rng)
                     for a, b in zip(bounds[:-1], bounds[1:])
                 ])
@@ -350,8 +350,8 @@ class TestGcn:
         graph = build_graph(make_record(["a", "b", "c"], [2, 0, 2]))
         layer = GcnLayer(input_dim=8, classes=7, rng=rng)
         features = Tensor(rng.uniform(-1.0, 1.0, size=(3, 8)))
-        out = layer(features, graph.normalized)
-        oracle = np.maximum(graph.normalized @ features.data @ layer.weight.data, 0.0)
+        out = layer(features, graph)
+        oracle = np.maximum(graph @ features.data @ layer.weight.data, 0.0)
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
     def test_padded_rows_stay_zero_through_full_matrix(self):
@@ -364,9 +364,9 @@ class TestGcn:
         layer = GcnLayer(input_dim=4, classes=3, rng=rng)
         padded = np.zeros((10, 4))
         padded[:3] = rng.uniform(-1.0, 1.0, size=(3, 4))
-        out = layer(Tensor(padded), np.pad(graph.normalized, (0, 7)))
+        out = layer(Tensor(padded), np.pad(graph, (0, 7)))
         np.testing.assert_array_equal(out.data[3:], np.zeros((7, 3)))
-        block = layer(Tensor(padded[:3].copy()), graph.normalized)
+        block = layer(Tensor(padded[:3].copy()), graph)
         np.testing.assert_allclose(out.data[:3], block.data, atol=1e-14)
 
     def test_shape_mismatch_rejected(self):
@@ -409,7 +409,7 @@ class TestGcn:
             part = T.matmul(Tensor(adj), T.slice_rows(features, start, start + n))
             singles.append(T.relu(part @ layer.weight))
             start += n
-        backward(sum_all(mul(T.concat_rows(singles), Tensor(cot))))
+        backward(sum_all(mul(T.concat(singles), Tensor(cot))))
         np.testing.assert_allclose(packed.data, np.concatenate([t.data for t in singles]), rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads[0], features.grad, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads[1], layer.weight.grad, rtol=0, atol=1e-12)

@@ -15,7 +15,6 @@ from syngcn.tensor import (
     add,
     backward,
     concat,
-    concat_rows,
     gather_rows,
     matmul,
     mul,
@@ -105,7 +104,7 @@ class TestConcat:
 
     def test_concat_rows_stacks_and_splits(self):
         blocks = [Tensor(np.full((n, 2), float(n)), requires_grad=True) for n in (1, 3, 2)]
-        out = concat_rows(blocks)
+        out = concat(blocks)  # axis 0 by default
         assert out.shape == (6, 2)
         backward(sum_all(mul(out, 2.0)))
         for block in blocks:
@@ -363,7 +362,7 @@ def _op_cases():
 
     def case_concat_rows(rng):
         blocks = [rand_tensor(rng, (n, 3)) for n in (1, 2, 3)]
-        return with_cotangent(rng, (6, 3), lambda: concat_rows(blocks), blocks)
+        return with_cotangent(rng, (6, 3), lambda: concat(blocks), blocks)  # axis 0 by default
 
     def case_slice_rows(rng):
         a = rand_tensor(rng, (6, 3))

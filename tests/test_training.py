@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syngcn import tensor as T
-from syngcn.corpus import Record, Vocabulary, build_vocab
+from syngcn.corpus import CorpusError, Record, Vocabulary, build_vocab
 from syngcn.layers import orthogonal_init
 from syngcn.synthetic import class_word_corpus
 from syngcn.tensor import Tensor, backward, mul, softmax_cross_entropy, sum_all
@@ -391,6 +392,23 @@ class TestTrainLoop:
         bad = Record(("x",), ((0, 1),), (0,), None)
         with pytest.raises(ConfigError):
             train(tiny_config(), train_recs + [bad], dev_recs)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (Record(("a", "b", "c"), ((0, 3),), (0, 3, 2), 0), "heads form a cycle through token 1"),
+            (Record(tuple("abcde"), ((0, 2), (2, 5)), (0, 1, 0, 3, 2), 0), "heads form a cycle through token 3"),
+            # Before, train() took integer tokens and saved a vocabulary load_checkpoint refuses.
+            (Record((1, 2), ((0, 2),), (0, 1), 0), "tokens must be a list of strings, token 0 is 1"),
+            (Record(("w",) * 21, ((0, 21),), (0,) + (1,) * 20, 0), "21 tokens exceed max_len 20"),
+        ],
+        ids=["cycle", "cycle-after-a-valid-sentence", "non-string-token", "over-long"],
+    )
+    def test_bad_dev_record_named_by_index(self, tiny_corpus, bad, message):
+        # Record 9 comes after the 8 training records and the first dev record.
+        train_recs, dev_recs = tiny_corpus
+        with pytest.raises(CorpusError, match=f"^record 9: {re.escape(message)}$"):
+            train(tiny_config(), train_recs, [dev_recs[0], bad, *dev_recs[1:]])
 
     def test_dropout_and_batch_norm_paths_run(self, tiny_corpus):
         train_recs, dev_recs = tiny_corpus
