@@ -64,6 +64,7 @@ POOLING_MODES = ("percentile", "average", "fc")
 
 DEFAULT_SEED = 42
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and the update's denominator floor
+ADAM_BLOCK = 32768  # floats per slice of an Adam update: 256 KiB, so a slice's temporaries stay in cache
 
 
 def _parse_bool(raw: str) -> bool:
@@ -252,7 +253,10 @@ class Model:
         return probs
 
     def predict(self, records: list[Record]) -> tuple[list[int], np.ndarray]:
-        """Predicted class ids and the full probability rows."""
+        """Predicted class ids and the full probability rows; a malformed record is a CorpusError naming ``record i``."""
+        for i, rec in enumerate(records):
+            rec.validate(where=f"record {i}")
+        check_trees(records)
         probs = self.probabilities([self.encode(rec) for rec in records])
         return probs.argmax(axis=1).tolist(), probs
 
@@ -322,7 +326,15 @@ def total_loss(
 
 
 class Adam:
-    """Adam with decoupled weight decay; ``step`` binds each ``p.data`` to a new array, never writing into one."""
+    """Adam with decoupled weight decay; ``step`` binds each ``p.data`` to a new array, never writing into one.
+
+    ``step`` walks each parameter in slices along axis 0 of about
+    ``ADAM_BLOCK`` floats, so every temporary of the update is one slice
+    long and stays in cache.  In each slice it updates the moments ``m``
+    and ``v`` in place and writes ``p * decay - lr * m_hat / (sqrt(v_hat)
+    + eps)``, in that operation order, into the parameter's new array.  A
+    non-finite gradient raises before its parameter, ``m`` or ``v`` is written.
+    """
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 0.001, weight_decay: float = 0.0):
         self.named_params = list(named_params)
@@ -336,13 +348,28 @@ class Adam:
         self.t += 1
         c1, c2 = 1 - ADAM_BETA1**self.t, 1 - ADAM_BETA2**self.t
         decay = 1.0 - self.lr * self.weight_decay  # exactly 1.0 without weight decay
+
+        def update(old, new, m, v, g):  # one slice of a parameter
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            np.multiply(old, decay, out=new)
+            new -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
         for name, p in self.named_params:
-            g = 0.0 if p.grad is None else p.grad
-            if not np.all(np.isfinite(g)):
+            g = np.broadcast_to(0.0, p.shape) if p.grad is None else p.grad
+            if not np.isfinite(g).all():
                 raise OptimizationError(f"non-finite gradient in {name}")
-            m = self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-            v = self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
-            p.data = p.data * decay - self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            old, new, m, v = p.data, np.empty_like(p.data), self.m[name], self.v[name]
+            rows = ADAM_BLOCK * len(old) // old.size or 1
+            if rows >= len(old):  # one slice: the whole arrays, with no views to make
+                update(old, new, m, v, g)
+            else:
+                for start in range(0, len(old), rows):
+                    b = slice(start, start + rows)
+                    update(old[b], new[b], m[b], v[b], g[b])
+            p.data = new
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ A change that should keep results bit-identical is checked by running this
 script at the parent revision and at the change, on the same host with the
 same BLAS thread count, and comparing the two outputs with ``diff``:
 
-    PYTHONPATH=src python tests/state_digests.py > digests.txt
+    OPENBLAS_NUM_THREADS=1 python tests/state_digests.py > digests.txt
+
+It imports ``syngcn`` from the ``src/`` of the checkout it lies in, ahead of
+``PYTHONPATH`` and of any installed copy, so each checkout digests its own
+code; it exits with an error when ``syngcn`` loads from anywhere else.
 
 Each run trains 2 epochs (seed 7, dropout 0.5) on a 300-record root-label
 corpus split 80/20, at 16/16 and 300/180 embedding/hidden dimensions: with
@@ -17,13 +21,21 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))  # before the imports below, so they load this checkout's syngcn
+
+import syngcn
 from syngcn.synthetic import root_label_corpus, split_records
 from syngcn.training import POOLING_MODES, TrainConfig, save_checkpoint, save_history, train
+
+if not Path(syngcn.__file__).resolve().is_relative_to(SRC):
+    sys.exit(f"state_digests: syngcn was imported from {syngcn.__file__}, not from {SRC}")
 
 SIZES = ((16, 16), (300, 180))
 # (label, TrainConfig overrides) of each run at each size.

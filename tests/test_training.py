@@ -19,6 +19,7 @@ from syngcn.layers import orthogonal_init
 from syngcn.synthetic import class_word_corpus
 from syngcn.tensor import Tensor, backward, mul, softmax_cross_entropy, sum_all
 from syngcn.training import (
+    ADAM_BLOCK,
     Adam,
     CheckpointError,
     ConfigError,
@@ -41,6 +42,7 @@ from syngcn.training import (
 )
 
 import reference_tail
+from reference_adam import ReferenceAdam
 from helpers import WRONG_TYPES, check_gradients
 
 
@@ -316,6 +318,58 @@ class TestAdam:
         np.testing.assert_array_equal(held, before)
         assert not np.array_equal(w.data, before)
 
+    # (name, shape, has a gradient): rows that do not divide into blocks, a 1-D run of
+    # several blocks, rows each wider than a block, and a multi-block parameter with no gradient.
+    BLOCKED = [("ragged_rows", (1000, 300), True), ("long_vector", (2 * ADAM_BLOCK + 5,), True),
+               ("wide_rows", (3, ADAM_BLOCK + 7), True), ("no_grad", (ADAM_BLOCK // 10 + 1, 30), False)]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.5])
+    def test_blocked_step_matches_the_whole_array_update(self, weight_decay):
+        rng = np.random.default_rng(5)
+        starts = [rng.standard_normal(shape) for _, shape, _ in self.BLOCKED]
+        assert [ADAM_BLOCK * len(a) // a.size or 1 for a in starts] == [109, ADAM_BLOCK, 1, 1092]
+        pairs = [(Tensor(a.copy(), requires_grad=True), Tensor(a.copy(), requires_grad=True)) for a in starts]
+        blocked = Adam([(name, p) for (name, _, _), (p, _) in zip(self.BLOCKED, pairs)], 0.01, weight_decay)
+        reference = ReferenceAdam([(name, q) for (name, _, _), (_, q) in zip(self.BLOCKED, pairs)], 0.01, weight_decay)
+        for _ in range(3):
+            for (_, shape, has_grad), (p, q) in zip(self.BLOCKED, pairs):
+                p.grad = q.grad = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3) if has_grad else None
+            blocked.step()
+            reference.step()
+        for (name, _, has_grad), (p, q), start in zip(self.BLOCKED, pairs, starts):
+            assert np.array_equal(p.data, start) == (not has_grad and not weight_decay), name
+            assert p.data.tobytes() == q.data.tobytes(), name
+            assert blocked.m[name].tobytes() == reference.m[name].tobytes(), name
+            assert blocked.v[name].tobytes() == reference.v[name].tobytes(), name
+
+    def test_step_peaks_at_one_new_array(self):
+        # The whole-array update holds about five parameter-sized temporaries at once; the blocked one
+        # holds the new array and a few slices.  NumPy reports its buffers to tracemalloc.
+        w = Tensor(np.ones((2048, 1024)), requires_grad=True)
+        w.grad = np.full(w.shape, 0.5)
+        opt = Adam([("w", w)], lr=0.1, weight_decay=0.5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * w.data.nbytes, peak / w.data.nbytes
+
+    def test_non_finite_gradient_in_the_last_block_changes_nothing(self):
+        w = Tensor(np.random.default_rng(2).standard_normal((1000, 300)), requires_grad=True)
+        opt = Adam([("gcn.weight", w)], lr=0.1, weight_decay=0.5)
+        w.grad = np.ones(w.shape)
+        opt.step()
+        held, data, m, v = w.data, w.data.copy(), opt.m["gcn.weight"].copy(), opt.v["gcn.weight"].copy()
+        w.grad = np.ones(w.shape)
+        w.grad[-1, -1] = np.nan
+        with pytest.raises(OptimizationError, match="^non-finite gradient in gcn.weight$"):
+            opt.step()
+        assert w.data is held and w.data.tobytes() == data.tobytes()
+        assert opt.m["gcn.weight"].tobytes() == m.tobytes() and opt.v["gcn.weight"].tobytes() == v.tobytes()
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -534,6 +588,21 @@ class TestModelForward:
             own = T.softmax(model.forward_batch([model.encode(rec)]).data[0])
             np.testing.assert_allclose(row, own, rtol=0, atol=1e-12)
             assert label == int(np.argmax(row))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (Record(("a",), ((0, 1),), (5,), None), "head 5 of token 0 outside its 1-token sentence"),
+            (Record(("a", "b", "c"), ((0, 3),), (0, 3, 2), None), "heads form a cycle through token 1"),
+        ],
+        ids=["head-out-of-range", "cycle"],
+    )
+    def test_predict_names_a_bad_record(self, tiny_corpus, bad, message):
+        # Before, an out-of-range head died in build_graph with an IndexError and a cycle was scored.
+        train_recs, _ = tiny_corpus
+        model = Model(tiny_config(), build_vocab(train_recs))
+        with pytest.raises(CorpusError, match=f"^record 2: {re.escape(message)}$"):
+            model.predict([train_recs[0], train_recs[1], bad, train_recs[2]])
 
     @pytest.mark.parametrize("batch_norm", [True, False], ids=["norm", "no_norm"])
     @pytest.mark.parametrize("pooling", ["percentile", "average", "fc"])
