@@ -170,7 +170,7 @@ def _cmd_inspect_graph(args) -> int:
     if not 0 <= args.index < len(records):
         raise CorpusError(f"record index {args.index} out of range (corpus has {len(records)})")
     record = records[args.index]
-    normalized = build_graph(record, mode=args.mode or ADJACENCY_MODES[0], max_len=args.max_len)
+    normalized = build_graph(record, mode=args.mode or ADJACENCY_MODES[0])
     print(f"record {args.index}: {len(record)} token(s), {len(record.sent_bounds)} sentence(s)")
     print("tokens:", " ".join(record.tokens))
     print("adjacency:")

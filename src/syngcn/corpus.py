@@ -11,7 +11,7 @@ A corpus file is UTF-8 JSON lines, one record per line:
 ``heads``        one entry per token: the 1-based position of its head
                  *within its own sentence* (never the token itself), or 0
                  for a sentence root; every sentence has at least one root
-                 and its heads form a tree, with no cycle (check_trees).
+                 and its heads form a tree, with no cycle (check_records).
 ``label``        class id, or a name from the configured class set (see
                  LABEL_SETS); a name from the other set is a CorpusError
                  naming the line.  Optional under "eval"; unread with classes=None.
@@ -22,7 +22,8 @@ load report); a head pointing past the cut becomes a root.
 The dependency graph of an n-token record is a symmetric n x n 0/1
 adjacency A: one self-loop per token plus both directions of every head
 arc, assembled block-diagonally per sentence so no edge crosses a
-sentence boundary.  build_graph returns only its symmetric normalization
+sentence boundary.  build_graph validates a record (all but cycles, which
+check_records finds in a list) and returns only its symmetric normalization
 D^-1/2 A D^-1/2, which divides each entry by the square roots of both
 endpoint degrees (never zero, thanks to the self-loops); A is the
 support of that matrix.
@@ -80,6 +81,10 @@ class Record:
             raise CorpusError(f"{where}: tokens must be a list of strings, token {i} is {self.tokens[i]!r:.60}")
         if len(self.heads) != n:
             raise CorpusError(f"{where}: {len(self.heads)} heads for {n} tokens")
+        if not set(map(type, self.heads)) <= {int}:  # exact ints: a bool or float is rejected
+            raise CorpusError(f"{where}: heads must be integers, got {self.heads!r:.60}")
+        if not all(isinstance(s, tuple) and len(s) == 2 and set(map(type, s)) <= {int} for s in self.sent_bounds):
+            raise CorpusError(f"{where}: sentence spans must be integer pairs, got {self.sent_bounds!r:.60}")
         pos = 0
         for start, stop in self.sent_bounds:
             if start != pos or stop <= start:
@@ -98,6 +103,8 @@ class Record:
                     raise CorpusError(f"{where}: token {t} is its own head")
             if 0 not in self.heads[start:stop]:
                 raise CorpusError(f"{where}: sentence [{start}, {stop}) has no root")
+        if self.label is not None and type(self.label) is not int:
+            raise CorpusError(f"{where}: label must be an integer, got {self.label!r:.60}")
         if classes is not None and self.label is not None and not 0 <= self.label < classes:
             raise CorpusError(f"{where}: label {self.label} not in [0, {classes})")
 
@@ -183,26 +190,27 @@ def load_corpus(
                 label = _parse_label(label, classes, where)
             elif schema == "train" and classes is not None:
                 raise CorpusError(f"{where}: label required under train schema")
-            record = Record(tuple(tokens), tuple(bounds), tuple(heads), label)
-            record.validate(classes=classes, where=where)
-            records.append(record)
+            records.append(Record(tuple(tokens), tuple(bounds), tuple(heads), label))
             line_nos.append(line_no)
-    check_trees(records, lambda i: f"{path}: line {line_nos[i]}")
+    check_records(records, lambda i: f"{path}: line {line_nos[i]}", classes)
     report.records = len(records)
     report.truncated = sum(len(rec) > max_len for rec in records)
     return [_truncate(rec, max_len) if len(rec) > max_len else rec for rec in records], report
 
 
-def check_trees(records, where=lambda i: f"record {i}") -> None:
-    """Raise a CorpusError naming ``where(i)`` for the first validated record whose heads form a cycle.
+def check_records(records, where=lambda i: f"record {i}", classes=None, max_len=None) -> None:
+    """Raise a CorpusError naming ``where(i)`` for the first record that fails ``validate(classes)``,
+    has over ``max_len`` tokens, or has a head cycle.
 
-    One NumPy pass over all records: every token points to its head's
-    index in the flattened corpus, and every root to a sentinel that
-    points to itself.  Each ``p = p[p]`` doubles how far the pointers
-    reach, so after bit_length(longest sentence) rounds every token of a
-    tree points to the sentinel; one that does not lies on or under a
-    cycle, and points to a token on it.
+    Cycles take one NumPy pass over all records: every token points to its head's index in the
+    flattened corpus, and every root to a sentinel that points to itself.  Each ``p = p[p]`` doubles
+    how far the pointers reach, so after bit_length(longest sentence) rounds every token of a tree
+    points to the sentinel; one that does not lies on or under a cycle, and points to a token on it.
     """
+    for i, rec in enumerate(records):
+        rec.validate(classes, where(i))
+        if max_len is not None and len(rec) > max_len:
+            raise CorpusError(f"{where(i)}: {len(rec)} tokens exceed max_len {max_len}")
     if not records:
         return
     sizes = [stop - start for rec in records for start, stop in rec.sent_bounds]
@@ -297,18 +305,18 @@ def build_vocab(records, min_count: int = 1) -> Vocabulary:
 # ---------------------------------------------------------------------------
 
 
-def build_graph(record: Record, mode: str = "syntax", max_len: int = MAX_TOKENS) -> np.ndarray:
-    """The read-only n x n normalized adjacency D^-1/2 A D^-1/2 of one validated n-token record.
+def build_graph(record: Record, mode: str = "syntax") -> np.ndarray:
+    """The read-only n x n normalized adjacency D^-1/2 A D^-1/2 of one n-token record.
 
     "syntax" wires the dependency arcs (plus self-loops, both
     directions); "all_ones" is the no-syntax ablation where every token
-    links to every other.  A record longer than ``max_len`` is rejected.
+    links to every other.  The record is validated first, so a bad head
+    is a CorpusError; a head cycle is left to check_records.
     """
     if mode not in ADJACENCY_MODES:
         raise ValueError(f"unknown adjacency mode {mode!r}")
+    record.validate()
     n = len(record)
-    if n > max_len:
-        raise CorpusError(f"record with {n} tokens exceeds max_len {max_len}")
     if mode == "all_ones":
         a = np.ones((n, n))
     else:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import (ADJACENCY_MODES, LABEL_SETS, MAX_TOKENS, CorpusError, Record, Vocabulary, build_graph,
-                     build_vocab, check_trees, label_names)
+                     build_vocab, check_records, label_names)
 from .files import atomic_open, parse_json, write_lines
 from .layers import (
     BatchNorm,
@@ -238,7 +238,12 @@ class Model:
         return self._pool(self.gcn(features, *(adj for _, adj in encoded)), lengths)
 
     def encode(self, record: Record) -> tuple[np.ndarray, np.ndarray]:
-        return self.vocab.encode(record.tokens), build_graph(record, self.config.adjacency_mode, self.config.max_len)
+        """Token ids and Â of one record; an over-long or invalid one is a CorpusError.  A head cycle is
+        left to check_records, which every list entry point calls: per record it costs about an encode."""
+        if len(record) > self.config.max_len:
+            raise CorpusError(f"record: {len(record)} tokens exceed max_len {self.config.max_len}")
+        graph = build_graph(record, self.config.adjacency_mode)
+        return self.vocab.encode(record.tokens), graph
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite row ends in a ScoreError
     def probabilities(self, encoded: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -254,9 +259,7 @@ class Model:
 
     def predict(self, records: list[Record]) -> tuple[list[int], np.ndarray]:
         """Predicted class ids and the full probability rows; a malformed record is a CorpusError naming ``record i``."""
-        for i, rec in enumerate(records):
-            rec.validate(where=f"record {i}")
-        check_trees(records)
+        check_records(records, max_len=self.config.max_len)
         probs = self.probabilities([self.encode(rec) for rec in records])
         return probs.argmax(axis=1).tolist(), probs
 
@@ -422,10 +425,7 @@ def train(
     for i, rec in enumerate(records):
         if rec.label is None:
             raise ConfigError(f"record {i} has no label")
-        rec.validate(classes=config.classes, where=f"record {i}")
-        if len(rec) > config.max_len:
-            raise CorpusError(f"record {i}: {len(rec)} tokens exceed max_len {config.max_len}")
-    check_trees(records)
+    check_records(records, classes=config.classes, max_len=config.max_len)
 
     vocab = build_vocab(train_records, min_count=config.min_count)
     rng = np.random.default_rng(config.seed)

@@ -1,8 +1,10 @@
 """Corpus ingestion, vocabulary, and dependency-graph tests."""
 
+import ast
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from syngcn.corpus import (
     binarize_records,
     build_graph,
     build_vocab,
-    check_trees,
+    check_records,
     label_names,
     load_corpus,
     save_corpus,
@@ -365,9 +367,9 @@ def connected(block):
     return len(seen) == n
 
 
-class TestCheckTrees:
+class TestCheckRecords:
     def test_empty_corpus_passes(self):
-        check_trees([])
+        check_records([])
 
     def test_matches_walk_oracle(self):
         # Random heads in range, with no self-heads and a root per sentence: some trees, many cycles.
@@ -385,10 +387,10 @@ class TestCheckTrees:
                 records.append(make_record([f"w{i}" for i in range(pos)], heads, bounds=bounds))
             bad = [i for i, rec in enumerate(records) if not reaches_roots(rec)]
             if not bad:
-                check_trees(records)
+                check_records(records)
                 continue
             with pytest.raises(CorpusError, match=rf"^at {bad[0]}: heads form a cycle through token (\d+)$") as exc:
-                check_trees(records, lambda i: f"at {i}")
+                check_records(records, lambda i: f"at {i}")
             token, rec = int(exc.value.args[0].rsplit(" ", 1)[1]), records[bad[0]]
             start = max(a for a, _ in rec.sent_bounds if a <= token)
             assert on_cycle(rec, token, start)
@@ -397,7 +399,66 @@ class TestCheckTrees:
         rng = np.random.default_rng(41)
         records = [make_record([f"w{i}" for i in range(n)], random_tree_heads(rng, n))
                    for n in rng.integers(1, 60, size=200).tolist()]
-        check_trees(records)
+        check_records(records)
+
+    @pytest.mark.parametrize(
+        "heads, message",
+        [
+            ((5,), "head 5 of token 0 outside its 1-token sentence"),
+            ((0, -1), "head -1 of token 1 outside its 2-token sentence"),
+        ],
+        ids=["past-the-end", "negative"],
+    )
+    def test_bad_head_names_the_record(self, heads, message):
+        good = make_record(["a", "b"], [0, 1])
+        bad = Record(tuple("ab"[: len(heads)]), ((0, len(heads)),), heads, 0)
+        with pytest.raises(CorpusError, match=f"^at 1: {re.escape(message)}$"):
+            check_records([good, bad, good], lambda i: f"at {i}")
+
+    def test_label_outside_classes_names_the_record(self):
+        records = [make_record(["a"], [0]), make_record(["a", "b", "c"], [2, 0, 2], label=6)]
+        check_records(records, classes=7)
+        with pytest.raises(CorpusError, match=r"^record 1: label 6 not in \[0, 2\)$"):
+            check_records(records, classes=2)
+
+    def test_longer_than_max_len_rejected(self):
+        records = [make_record(["a"], [0]), make_record(["a", "b", "c"], [2, 0, 2])]
+        check_records(records, max_len=3)
+        with pytest.raises(CorpusError, match="^record 1: 3 tokens exceed max_len 2$"):
+            check_records(records, max_len=2)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (Record(("a",), ((0, 1),), (1.0,), 0), "heads must be integers, got (1.0,)"),
+            (Record(("a",), ((0, 1),), (False,), 0), "heads must be integers, got (False,)"),
+            (Record(("a",), ((0, 1),), ("0",), 0), "heads must be integers, got ('0',)"),
+            (Record(("a",), ((0,),), (0,), 0), "sentence spans must be integer pairs, got ((0,),)"),
+            (Record(("a",), ((0, 1.0),), (0,), 0), "sentence spans must be integer pairs, got ((0, 1.0),)"),
+            (Record(("a",), ([0, 1],), (0,), 0), "sentence spans must be integer pairs, got ([0, 1],)"),
+            (Record(("a",), ((0, 1),), (0,), 1.0), "label must be an integer, got 1.0"),
+            (Record(("a",), ((0, 1),), (0,), True), "label must be an integer, got True"),
+        ],
+        ids=["float-head", "bool-head", "str-head", "one-element-span", "float-bound", "list-span", "float-label",
+             "bool-label"],
+    )
+    def test_mistyped_in_memory_field_names_the_record(self, record, message):
+        with pytest.raises(CorpusError, match=f"^record 0: {re.escape(message)}$"):
+            check_records([record], classes=7)
+
+
+def validate_calls(source: str) -> list[int]:
+    """Lines of ``source`` that call a ``.validate`` method."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "validate"]
+
+
+def test_only_corpus_calls_validate():
+    # A new entry point reuses check_records (or build_graph) instead of growing its own validation loop.
+    assert validate_calls("x.validate()\nf(validate)\ny.validate\nfor r in rs:\n    r.validate(where=w)\n") == [1, 5]
+    src = Path(__file__).resolve().parent.parent / "src" / "syngcn"
+    found = {path.name: validate_calls(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == {"corpus.py"}, found
 
 
 class TestBuildGraph:
@@ -429,9 +490,24 @@ class TestBuildGraph:
                 g = build_graph(rec, mode=mode)
                 assert isinstance(g, np.ndarray) and g.shape == (n, n)
 
-    def test_longer_than_max_len_rejected(self):
-        with pytest.raises(CorpusError, match="exceeds max_len 2"):
-            build_graph(make_record(["a", "b", "c"], [2, 0, 2]), max_len=2)
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (Record(("a",), ((0, 1),), (5,), None), "head 5 of token 0 outside its 1-token sentence"),
+            (Record(("a", "b"), ((0, 2),), (0, -1), None), "head -1 of token 1 outside its 2-token sentence"),
+        ],
+        ids=["past-the-end", "negative"],
+    )
+    @pytest.mark.parametrize("mode", ["syntax", "all_ones"])
+    def test_bad_head_rejected(self, record, message, mode):
+        with pytest.raises(CorpusError, match=f"^record: {re.escape(message)}$"):
+            build_graph(record, mode)
+
+    def test_head_cycle_is_left_to_check_records(self):
+        record = Record(("a", "b", "c"), ((0, 3),), (0, 3, 2), None)
+        assert build_graph(record).shape == (3, 3)
+        with pytest.raises(CorpusError, match="heads form a cycle"):
+            check_records([record])
 
     def test_no_edge_crosses_sentences(self):
         rec = make_record(list("abcde"), [0, 1, 2, 0, 2], bounds=[(0, 2), (2, 5)])

@@ -455,8 +455,13 @@ class TestTrainLoop:
             # Before, train() took integer tokens and saved a vocabulary load_checkpoint refuses.
             (Record((1, 2), ((0, 2),), (0, 1), 0), "tokens must be a list of strings, token 0 is 1"),
             (Record(("w",) * 21, ((0, 21),), (0,) + (1,) * 20, 0), "21 tokens exceed max_len 20"),
+            (Record(("a", "b"), ((0, 2),), (0, 1.0), 0), "heads must be integers, got (0, 1.0)"),
+            (Record(("a", "b"), ((0, 2),), (0, 1), 1.0), "label must be an integer, got 1.0"),
+            (Record(("a", "b"), ((0, 2),), ("0", 1), 0), "heads must be integers, got ('0', 1)"),
+            (Record(("a", "b"), ((0,),), (0, 1), 0), "sentence spans must be integer pairs, got ((0,),)"),
         ],
-        ids=["cycle", "cycle-after-a-valid-sentence", "non-string-token", "over-long"],
+        ids=["cycle", "cycle-after-a-valid-sentence", "non-string-token", "over-long", "float-head", "float-label",
+             "str-head", "one-element-span"],
     )
     def test_bad_dev_record_named_by_index(self, tiny_corpus, bad, message):
         # Record 9 comes after the 8 training records and the first dev record.
@@ -594,8 +599,12 @@ class TestModelForward:
         [
             (Record(("a",), ((0, 1),), (5,), None), "head 5 of token 0 outside its 1-token sentence"),
             (Record(("a", "b", "c"), ((0, 3),), (0, 3, 2), None), "heads form a cycle through token 1"),
+            (Record(("a", "b"), ((0, 2),), (0, -1), None), "head -1 of token 1 outside its 2-token sentence"),
+            (Record(("a", "b"), ((0, 2),), (0, 1.0), None), "heads must be integers, got (0, 1.0)"),
+            (Record(("a", "b"), ((0, 2),), (0, True), None), "heads must be integers, got (0, True)"),
+            (Record(("w",) * 25, ((0, 25),), (0,) + (1,) * 24, None), "25 tokens exceed max_len 20"),
         ],
-        ids=["head-out-of-range", "cycle"],
+        ids=["head-out-of-range", "cycle", "negative-head", "float-head", "bool-head", "over-long"],
     )
     def test_predict_names_a_bad_record(self, tiny_corpus, bad, message):
         # Before, an out-of-range head died in build_graph with an IndexError and a cycle was scored.
@@ -603,6 +612,20 @@ class TestModelForward:
         model = Model(tiny_config(), build_vocab(train_recs))
         with pytest.raises(CorpusError, match=f"^record 2: {re.escape(message)}$"):
             model.predict([train_recs[0], train_recs[1], bad, train_recs[2]])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (Record(("a",), ((0, 1),), (5,), None), "head 5 of token 0 outside its 1-token sentence"),
+            (Record(("a", "b"), ((0, 2),), (0, -1), None), "head -1 of token 1 outside its 2-token sentence"),
+            (Record(("w",) * 21, ((0, 21),), (0,) + (1,) * 20, None), "21 tokens exceed max_len 20"),
+        ],
+        ids=["head-out-of-range", "negative-head", "over-long"],
+    )
+    def test_encode_rejects_a_bad_record(self, tiny_corpus, bad, message):
+        model = Model(tiny_config(), build_vocab(tiny_corpus[0]))
+        with pytest.raises(CorpusError, match=f"^record: {re.escape(message)}$"):
+            model.encode(bad)
 
     @pytest.mark.parametrize("batch_norm", [True, False], ids=["norm", "no_norm"])
     @pytest.mark.parametrize("pooling", ["percentile", "average", "fc"])
