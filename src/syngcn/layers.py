@@ -11,6 +11,11 @@ A batch is one [N, d] matrix of its records' rows, record after record;
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
+
 import numpy as np
 
 from . import tensor as T
@@ -18,6 +23,13 @@ from .tensor import ShapeError, Tensor
 
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch weight in the running estimates; floor added to the variance
 SVD_TRIES = 3  # fresh Gaussian samples orthogonal_init tries before it gives up
+# Work per time step, mean rows per step x hidden^2, from which a Bi-LSTM layer runs its two
+# directions at once.  Below it the threads' turns at the GIL cost more than the overlap saves:
+# on 2 cores, layers of hidden 16-64 at 32 sequences, 128 at 6-8 and 180 at 2-4 ran slower.
+PARALLEL_MIN_STEP_WORK = 150_000
+
+# Holds the one worker thread, which the first parallel layer starts (an executor starts none before then).
+_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bilstm")
 
 
 class EmbeddingTable:
@@ -47,12 +59,8 @@ class LstmCell:
     at 1 so early training does not flush the cell state.  One activation covers the
     gate block: scale * tanh(scale * z) + 1 - scale, with scale 1/2 the sigmoid of
     i, f, o (sigmoid(z) = tanh(z/2)/2 + 1/2) and scale 1 the tanh of g.  ``run`` is one
-    tape op for a packed batch of sequences: the gate blocks sit side by side and one
-    input projection covers every row.  One list of time steps drives both passes:
-    step t holds the rows of the k_t sequences still running, longest first (the
-    ``batch_sizes`` layout of packed sequences).  The forward takes one ``[k_t, hidden]``
-    product per step; the backward rule, hand-written backpropagation through time,
-    walks the steps in reverse with one ``[k_t, 4 * hidden]`` product each.
+    tape op for a packed batch of sequences; its walks are a ``_CellPass``, which
+    ``BiLstm`` also runs two at a time.
     """
 
     GATES = ("input", "forget", "output", "candidate")
@@ -81,56 +89,108 @@ class LstmCell:
         ``lengths`` splits the rows into consecutive sequences (default: one),
         each run from a zero state, back to front if ``reverse``.
         """
-        hid, n = self.hidden, x.shape[0]
-        bounds = _segment_bounds(x, lengths)
-        # Each weight set with its gates side by side, in GATES order.
-        w_x, w_h, bias = (np.hstack([p[gate].data for gate in self.GATES]) for p in (self.w_x, self.w_h, self.bias))
-        z_x = x.data @ w_x + bias
-        scale = np.repeat([0.5, 0.5, 0.5, 1.0], hid)  # sigmoid for i, f, o; tanh for g
-        shift = 1.0 - scale
-        acts = np.empty((n, 4 * hid))  # the gate values i, f, o, g per row
-        hs, cs = np.empty((n, hid)), np.empty((n, hid))  # row r: state after row r
+        walk = _CellPass(self, x.data, _segment_bounds(x, lengths), reverse, np.empty((x.shape[0], self.hidden)))
+        walk.forward()
+
+        def rule(grad):
+            return walk.backward(grad, *walk.backward_arrays())
+
+        return T.apply_op((x, *(p for _, p in self.parameters())), walk.hs, rule)
+
+
+def _stacked(weights: dict[str, Tensor]) -> np.ndarray:
+    """One weight set of a cell with its gates side by side, in GATES order."""
+    return np.hstack([weights[gate].data for gate in LstmCell.GATES])
+
+
+class _CellPass:
+    """One LstmCell's walks over packed sequences: the forward, then BPTT when a tape records the run.
+
+    The gate blocks sit side by side and one input projection covers every row.  One
+    list of time steps drives both walks: step t holds the rows of the k_t sequences
+    still running, longest first (the ``batch_sizes`` layout of packed sequences).  The
+    forward takes one ``[k_t, hidden]`` product per step; BPTT walks the steps in
+    reverse with one ``[k_t, 4 * hidden]`` product each.  Every array of n rows or of a
+    weight's size is allocated by the thread that builds the pass or asks for
+    ``backward_arrays``; the walks fill them in place and allocate one step's rows at
+    most.  So either walk may run on the worker thread: glibc keeps what a thread frees
+    in that thread's own arena, which thus stays one step's rows small.
+    """
+
+    def __init__(self, cell: LstmCell, x: np.ndarray, bounds: list[int], reverse: bool, hs: np.ndarray):
+        self.cell, self.x, self.hs = cell, x, hs  # hs [n, hidden] receives the states; it may be a view
+        self.acts = x @ _stacked(cell.w_x)  # the input projections; a recorded forward overwrites them with i, f, o, g
+        self.acts += _stacked(cell.bias)
+        self.cs = np.empty(hs.shape) if T.recording() else None  # row r: cell state after row r
+        # The walks' own copies of the weights, held only while a walk runs: backward_arrays stacks them again.
+        self.w_x, self.w_h = None, _stacked(cell.w_h)
+        self.scale = np.repeat([0.5, 0.5, 0.5, 1.0], cell.hidden)  # sigmoid for i, f, o; tanh for g
         # Lockstep: longest sequence first, so at step t the sequences still
         # running are a prefix of that order, and their states the first k_t
         # rows of h and c.  steps[t] holds their rows; a reverse run starts at
         # each sequence's last row and walks back.
         sizes = np.diff(bounds)
         order = np.argsort(-sizes, kind="stable")
-        sizes, direction = sizes[order], -1 if reverse else 1
+        sizes, self.direction = sizes[order], -1 if reverse else 1
         firsts = (np.asarray(bounds[1:]) - 1 if reverse else np.asarray(bounds[:-1]))[order]
-        steps = [firsts[: np.count_nonzero(sizes > t)] + direction * t for t in range(sizes[0])]
-        h = c = np.zeros((len(order), hid))
-        for rows in steps:
+        self.steps = [firsts[: np.count_nonzero(sizes > t)] + self.direction * t for t in range(sizes[0])]
+
+    def forward(self) -> None:
+        """Fill hs, and when recording the gate values (over acts) and cs, row by row."""
+        hid, acts, cs, scale, w_h = self.cell.hidden, self.acts, self.cs, self.scale, self.w_h
+        shift = 1.0 - scale
+        h = c = np.zeros((len(self.steps[0]), hid))
+        for rows in self.steps:
             k = len(rows)
-            z = z_x[rows] + h[:k] @ w_h
+            z = acts[rows] + h[:k] @ w_h
             a = scale * np.tanh(scale * z) + shift
             i, f, o, g = a.reshape(k, 4, hid).swapaxes(0, 1)
             c = f * c[:k] + i * g
             h = o * np.tanh(c)
-            acts[rows], cs[rows], hs[rows] = a, c, h
+            self.hs[rows] = h
+            if cs is not None:
+                acts[rows], cs[rows] = a, c
+        self.w_h = None
 
-        def rule(grad):
-            tanh_c = np.tanh(cs)
-            # States before each step: the previous row's in run order, zero at a sequence's first step.
-            h_prev, c_prev = np.roll(hs, direction, axis=0), np.roll(cs, direction, axis=0)
-            h_prev[steps[0]] = c_prev[steps[0]] = 0.0
-            i, f, o, g = acts.reshape(n, 4, hid).swapaxes(0, 1)
-            # Rows start as d(activation)/d(pre-activation); a step multiplies in dc or dh times a factor.
-            dz = scale * scale - (acts - shift) ** 2  # a(1 - a) for i, f, o; 1 - g^2 for g
-            factors, o_dtanh_c = np.hstack([g, c_prev, tanh_c, i]), o * (1.0 - tanh_c**2)
-            dh_next, dc_next = np.zeros((2, len(order), hid))
-            for rows in reversed(steps):
-                k = len(rows)
-                dh = grad[rows] + dh_next[:k]
-                dc = dh * o_dtanh_c[rows] + dc_next[:k]
-                dz_t = dz[rows] * (np.hstack([dc, dc, dh, dc]) * factors[rows])
-                dz[rows] = dz_t
-                dh_next[:k], dc_next[:k] = dz_t @ w_h.T, dc * f[rows]
-            dw_x, dw_h, db = x.data.T @ dz, h_prev.T @ dz, dz.sum(axis=0, keepdims=True)
-            per_gate = [d[:, k * hid : (k + 1) * hid] for k in range(4) for d in (dw_x, dw_h, db)]
-            return (dz @ w_x.T, *per_gate)  # per_gate in parameters() order
+    def backward_arrays(self) -> tuple[np.ndarray, ...]:
+        """Stack the weights again; return empty dx, dw_x, dw_h and db for ``backward`` to fill."""
+        self.w_x, self.w_h = _stacked(self.cell.w_x), _stacked(self.cell.w_h)
+        (d, width), hid = self.w_x.shape, self.cell.hidden
+        return np.empty((len(self.x), d)), np.empty((d, width)), np.empty((hid, width)), np.empty((1, width))
 
-        return T.apply_op((x, *(p for _, p in self.parameters())), hs, rule)
+    def backward(self, grad, dx, dw_x, dw_h, db) -> tuple:
+        """BPTT for the gradient [n, hidden] of hs: dx, then the 12 per-gate gradients in parameters() order.
+
+        Runs once: the pass overwrites its gate values with the pre-activations' gradients, then drops them.
+        """
+        hid, dz, cs, scale, direction = self.cell.hidden, self.acts, self.cs, self.scale, self.direction
+        shift, top = 1.0 - scale, scale * scale
+        dh_next, dc_next = np.zeros((2, len(self.steps[0]), hid))
+        for t in range(len(self.steps) - 1, -1, -1):
+            rows = self.steps[t]
+            k = len(rows)
+            a, tanh_c = dz[rows], np.tanh(cs[rows])
+            # The state before each step: the previous row's in run order, zero at a sequence's first step.
+            c_prev = cs[rows - direction] if t else np.zeros((k, hid))
+            i, f, o, g = a.reshape(k, 4, hid).swapaxes(0, 1)
+            dh = grad[rows] + dh_next[:k]
+            dc = dh * (o * (1.0 - tanh_c**2)) + dc_next[:k]
+            # d(activation)/d(pre-activation), a(1 - a) for i, f, o and 1 - g^2 for g, times dc or dh times a factor.
+            dz_t = (top - (a - shift) ** 2) * (np.hstack([dc, dc, dh, dc]) * np.hstack([g, c_prev, tanh_c, i]))
+            dz[rows] = dz_t
+            dh_next[:k], dc_next[:k] = dz_t @ self.w_h.T, dc * f
+        h_prev = cs  # the cell states are spent: hold the hidden states before each row, as c_prev above
+        if direction == 1:
+            h_prev[1:] = self.hs[:-1]
+        else:
+            h_prev[:-1] = self.hs[1:]
+        h_prev[self.steps[0]] = 0.0
+        np.matmul(self.x.T, dz, out=dw_x)
+        np.matmul(h_prev.T, dz, out=dw_h)
+        np.sum(dz, axis=0, keepdims=True, out=db)
+        np.matmul(dz, self.w_x.T, out=dx)
+        self.acts = self.cs = self.w_x = self.w_h = None
+        return (dx, *(d[:, k * hid : (k + 1) * hid] for k in range(4) for d in (dw_x, dw_h, db)))
 
 
 def _segment_bounds(x: Tensor, lengths=None) -> list[int]:
@@ -142,15 +202,58 @@ def _segment_bounds(x: Tensor, lengths=None) -> list[int]:
     return np.cumsum([0, *lengths]).tolist()
 
 
+def _both(mine: Callable[[], object], theirs: Callable[[], object]) -> tuple:
+    """mine() on this thread while the worker thread runs theirs() in a copy of this thread's context.
+
+    The context carries NumPy's error state, which a new thread would not inherit.
+    Returns both results; whatever either raises reaches the caller once both are done.
+    """
+    future = _worker.submit(contextvars.copy_context().run, theirs)
+    try:
+        result = mine()
+    finally:
+        other = future.result()
+    return result, other
+
+
+def _new_worker() -> None:
+    # A forked child inherits the parent's executor but not its thread, which would never run a task.
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bilstm")
+
+
+os.register_at_fork(after_in_child=_new_worker)
+
+
+def _bilstm_layer(fwd: LstmCell, bwd: LstmCell, x: Tensor, bounds: list[int]) -> Tensor:
+    """Both cells' states side by side, [n, 2 * hidden], as one tape op; bwd's walks run on the worker thread."""
+    hid = fwd.hidden
+    out = np.empty((x.shape[0], 2 * hid))
+    walks = _CellPass(fwd, x.data, bounds, False, out[:, :hid]), _CellPass(bwd, x.data, bounds, True, out[:, hid:])
+    _both(walks[0].forward, walks[1].forward)
+
+    def rule(grad):
+        (f, f_arrays), (b, b_arrays) = ((walk, walk.backward_arrays()) for walk in walks)
+        (dx, *d_fwd), (dx_bwd, *d_bwd) = _both(
+            lambda: f.backward(grad[:, :hid], *f_arrays), lambda: b.backward(grad[:, hid:], *b_arrays)
+        )
+        dx += dx_bwd
+        return (dx, *d_fwd, *d_bwd)
+
+    return T.apply_op((x, *(p for cell in (fwd, bwd) for _, p in cell.parameters())), out, rule)
+
+
 class BiLstm:
     """Stacked bidirectional LSTM over consecutive sequences packed in [n, d].
 
-    Each layer runs one forward and one backward cell over all sequences
-    (one tape op each; all sequences advance together, forward and in BPTT)
-    and places their [n, hidden] state matrices side by side, so the output
-    is [n, 2*hidden].  Inverted dropout (training only) follows every layer;
-    its masks are drawn sequence by sequence, then layer by layer, as if each
-    sequence ran on its own.
+    Each layer runs one forward and one backward cell over all sequences (all
+    sequences advance together, forward and in BPTT) and places their [n, hidden]
+    state matrices side by side, so the output is [n, 2*hidden].  A layer of at
+    least ``PARALLEL_MIN_STEP_WORK`` work per time step is one tape op that runs the backward
+    cell on a worker thread while the calling thread runs the forward one, in both
+    passes; a smaller layer is one op per cell and a concatenation.  Both give the
+    same bits.  Inverted dropout (training only) follows every layer; its masks are
+    drawn sequence by sequence, then layer by layer, as if each sequence ran on its own.
     """
 
     def __init__(self, input_dim: int, hidden: int, layers: int, dropout: float, rng: np.random.Generator | None):
@@ -188,9 +291,15 @@ class BiLstm:
         lengths = [x.shape[0]] if lengths is None else lengths
         keep = 1.0 - self.dropout if training else 1.0
         draws = [[rng.random((k, self.output_dim)) < keep for _ in self.cells] for k in lengths if keep < 1]
+        bounds = _segment_bounds(x, lengths)
+        sizes = np.diff(bounds)
+        parallel = sizes.sum() / sizes.max() * self.hidden**2 >= PARALLEL_MIN_STEP_WORK
         out = x
         for layer, (fwd, bwd) in enumerate(self.cells):
-            out = T.concat([fwd.run(out, lengths=lengths), bwd.run(out, reverse=True, lengths=lengths)], axis=1)
+            if parallel:
+                out = _bilstm_layer(fwd, bwd, out, bounds)
+            else:
+                out = T.concat([fwd.run(out, lengths=lengths), bwd.run(out, reverse=True, lengths=lengths)], axis=1)
             if draws:
                 out = out * Tensor(np.concatenate([d[layer] for d in draws]) / keep)
         return out

@@ -108,6 +108,11 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
+def recording() -> bool:
+    """True unless inside ``no_grad()``: whether ops record a graph here."""
+    return _recording
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 

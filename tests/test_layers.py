@@ -2,6 +2,11 @@
 
 import inspect
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -9,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from syngcn import layers
 from syngcn import tensor as T
 from syngcn.corpus import Vocabulary
 from syngcn.layers import (
@@ -154,9 +160,9 @@ class TestLstmCell:
         rng = np.random.default_rng(3)
         cell = LstmCell(4, 3, rng, name="cell")
         out = cell.run(rand_tensor(rng, (6, 4)), lengths=[2, 4])
-        held = inspect.getclosurevars(out._backward).nonlocals
-        acts, cs = weakref.ref(held["acts"]), weakref.ref(held["cs"])
-        del held
+        walk = inspect.getclosurevars(out._backward).nonlocals["walk"]
+        acts, cs = weakref.ref(walk.acts), weakref.ref(walk.cs)
+        del walk
         loss = sum_all(mul(out, out))
         backward(loss)
         assert acts() is None and cs() is None
@@ -268,7 +274,9 @@ class TestBiLstm:
         assert len(got) == 16 * layers
         assert [id(p) for p in got] == [id(p) for p in by_name] == [id(p) for p in by_cell]
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+    def test_gradients_match_finite_differences(self, monkeypatch, parallel):
+        monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0 if parallel else math.inf)
         rng = np.random.default_rng(19)
         net = BiLstm(input_dim=4, hidden=5, layers=2, dropout=0.0, rng=rng)
         x = rand_tensor(rng, (3, 4))
@@ -276,6 +284,154 @@ class TestBiLstm:
         params = [x] + [t for _, t in net.parameters()]
         err = check_gradients(lambda: sum_all(mul(net(x), cot)), params)
         assert err < 1e-4
+
+
+def _bilstm_results(net, x_data, lengths, cot):
+    """Training output (dropout on) with x.grad and every parameter gradient; then the no_grad output."""
+    x = Tensor(x_data, requires_grad=True)
+    for _, p in net.parameters():
+        p.zero_grad()
+    out = net(x, training=True, rng=np.random.default_rng(99), lengths=lengths)
+    backward(sum_all(mul(out, Tensor(cot))))
+    with T.no_grad():
+        predicted = net(Tensor(x_data), lengths=lengths)
+    return [out.data, x.grad, *(p.grad for _, p in net.parameters()), predicted.data]
+
+
+class TestParallelLayer:
+    """A layer at or above PARALLEL_MIN_STEP_WORK runs its backward cell on the worker thread."""
+
+    @staticmethod
+    def _net_and_batch(depth=2, dropout=0.5):
+        rng = np.random.default_rng(43)
+        net = BiLstm(input_dim=5, hidden=4, layers=depth, dropout=dropout, rng=rng)
+        lengths = [1, 6, 1, 3, 6, 2]
+        return net, rng.normal(size=(sum(lengths), 5)), lengths, rng.normal(size=(sum(lengths), 8))
+
+    def test_both_paths_give_the_same_bits(self, monkeypatch):
+        net, x, lengths, cot = self._net_and_batch()
+        results = []
+        for threshold in (math.inf, 0):
+            monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", threshold)
+            results.append(_bilstm_results(net, x, lengths, cot))
+        assert len(results[0]) == 2 + 24 * 2 + 1
+        for sequential, parallel in zip(*results):
+            np.testing.assert_array_equal(parallel, sequential)
+
+    def test_a_layer_is_one_tape_op(self, monkeypatch):
+        monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0)
+        net, x, lengths, _ = self._net_and_batch(depth=1, dropout=0.0)
+        x = Tensor(x, requires_grad=True)
+        out = net(x, lengths=lengths)
+        assert out.shape == (len(x.data), 8)
+        assert out._parents == (x, *(p for _, p in net.parameters()))
+
+    def test_backward_frees_the_arrays_only_the_rule_held(self, monkeypatch):
+        monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0)
+        net, x, lengths, _ = self._net_and_batch(depth=1, dropout=0.0)
+        out = net(Tensor(x), lengths=lengths)
+        walks = inspect.getclosurevars(out._backward).nonlocals["walks"]
+        held = [weakref.ref(arr) for walk in walks for arr in (walk.acts, walk.cs)]
+        del walks
+        loss = sum_all(mul(out, out))
+        backward(loss)
+        assert all(ref() is None for ref in held)
+        assert all(p.grad is not None for _, p in net.parameters())
+        with pytest.raises(GraphError):
+            backward(loss)
+        with pytest.raises(GraphError):
+            backward(sum_all(out))
+
+    @pytest.mark.parametrize("hidden, parents", [(16, 2), (180, 25)])
+    def test_the_crossover_picks_the_path(self, hidden, parents):
+        # 32 sequences of 4 rows: 32 * 16^2 per step is below the crossover, 32 * 180^2 above it.
+        net = BiLstm(input_dim=3, hidden=hidden, layers=1, dropout=0.0, rng=np.random.default_rng(2))
+        out = net(rand_tensor(np.random.default_rng(3), (128, 3)), lengths=[4] * 32)
+        assert len(out._parents) == parents  # two cells' ops to concatenate, or x and both cells' parameters
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+    def test_worker_keeps_the_callers_error_state(self, monkeypatch, parallel):
+        # An overflow in the backward cell's BPTT raises where np.errstate says so, on either thread.
+        monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0 if parallel else math.inf)
+        net, x, lengths, cot = self._net_and_batch(depth=1, dropout=0.0)
+        cot[:, 4:] = 1e308
+        with np.errstate(over="ignore"):  # the loss itself overflows, in the forward
+            loss = sum_all(mul(net(Tensor(x, requires_grad=True), lengths=lengths), Tensor(cot)))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            backward(loss)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failing_half_fails_the_call_once_both_are_done(self, monkeypatch, failing):
+        net, x, lengths, _ = self._net_and_batch(depth=1, dropout=0.0)
+        expected = net(Tensor(x), lengths=lengths).data
+        original, threads, finished = layers._CellPass.forward, {}, []
+
+        def forward(walk):
+            on_worker = walk.direction == -1
+            threads[on_worker] = threading.get_ident()
+            try:
+                if on_worker:
+                    time.sleep(0.05)  # the caller's half ends first
+                if on_worker == (failing == "worker"):
+                    raise RuntimeError(failing)
+                return original(walk)
+            finally:
+                finished.append(on_worker)
+
+        monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0)
+        monkeypatch.setattr(layers._CellPass, "forward", forward)
+        with pytest.raises(RuntimeError, match=failing):
+            net(Tensor(x), lengths=lengths)
+        assert sorted(finished) == [False, True]
+        assert threads[True] != threads[False] == threading.get_ident()
+        monkeypatch.setattr(layers._CellPass, "forward", original)
+        np.testing.assert_array_equal(net(Tensor(x), lengths=lengths).data, expected)
+
+
+    def test_callers_on_many_threads_share_the_worker(self, monkeypatch):
+        # More calling threads than cores queue on the one worker; each gets its own layer's bits.
+        # (Training passes only: no_grad() switches recording off for every thread.)
+        monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0)
+        _, x, lengths, cot = self._net_and_batch()
+        expected = _bilstm_results(self._net_and_batch()[0], x, lengths, cot)[:-1]
+        results, interval = [None] * 6, sys.getswitchinterval()
+
+        def call(k):
+            net = self._net_and_batch()[0]
+            x_k = Tensor(x, requires_grad=True)
+            out = net(x_k, training=True, rng=np.random.default_rng(99), lengths=lengths)
+            backward(sum_all(mul(out, Tensor(cot))))
+            results[k] = [out.data, x_k.grad, *(p.grad for _, p in net.parameters())]
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(results))]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_worker(self, monkeypatch):
+        monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0)
+        net, x, lengths, _ = self._net_and_batch(depth=1, dropout=0.0)
+        expected = net(Tensor(x), lengths=lengths).data  # the worker thread runs in this process now
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if the parallel layer runs there and gives the same bits
+            signal.alarm(30)  # a child that waits on its parent's worker thread ends instead of hanging
+            ok = False
+            try:
+                ok = np.array_equal(net(Tensor(x), lengths=lengths).data, expected)
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestBatchNorm:
