@@ -22,6 +22,7 @@ from .training import (
     DEFAULT_SEED,
     CheckpointError,
     ConfigError,
+    Model,
     OptimizationError,
     ScoreError,
     TrainConfig,
@@ -131,13 +132,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _score(args, score, what: str | None = None):
+    """The checkpoint's model, the --test records read with its max_len and classes, and score(model, records)."""
     model = load_checkpoint(args.checkpoint)
-    records = _load(args.test, model.config.max_len, model.config.classes, "evaluation")
+    records = _load(args.test, model.config.max_len, model.config.classes, what)
     try:
-        pred, _ = model.predict(records)
-    except ScoreError as exc:
+        return model, records, score(model, records)
+    except ScoreError as exc:  # the checkpoint's weights give a record non-finite class scores
         raise CheckpointError(f"{args.checkpoint}: {exc}") from None
+
+
+def _cmd_eval(args) -> int:
+    model, records, (pred, _) = _score(args, Model.predict, "evaluation")
     report = evaluate(pred, [rec.label for rec in records], model.config.classes)
     print(report.format_table())
     if args.out:
@@ -147,12 +153,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    records = _load(args.test, model.config.max_len, model.config.classes)
-    try:
-        lines = predictions_to_lines(model, records)
-    except ScoreError as exc:
-        raise CheckpointError(f"{args.checkpoint}: {exc}") from None
+    *_, lines = _score(args, predictions_to_lines)
     if args.out:
         write_lines(args.out, lines)
     else:

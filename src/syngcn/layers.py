@@ -205,7 +205,7 @@ def _segment_bounds(x: Tensor, lengths=None) -> list[int]:
 def _both(mine: Callable[[], object], theirs: Callable[[], object]) -> tuple:
     """mine() on this thread while the worker thread runs theirs() in a copy of this thread's context.
 
-    The context carries NumPy's error state, which a new thread would not inherit.
+    The context carries NumPy's error state and the tape's recording switch: a new thread inherits neither.
     Returns both results; whatever either raises reaches the caller once both are done.
     """
     future = _worker.submit(contextvars.copy_context().run, theirs)

@@ -5,7 +5,7 @@ tensor, so a forward pass implicitly builds a computation graph (a fresh
 graph per pass).  Calling ``backward`` on a scalar result walks that
 graph once in reverse topological order, accumulates gradients into
 every reachable tensor that requires them, and frees each op's record
-once its rule has run.  Inside ``no_grad()`` ops record nothing.
+once its rule has run.  Inside ``no_grad()`` ops record nothing, in that thread's context only.
 
 Only generic ops live here: 2-D matmul, add, mul, relu, concatenation,
 row slicing and gathering, sum, and a stable softmax cross-entropy.
@@ -17,6 +17,7 @@ are single ops with hand-written rules, built on ``apply_op``.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -94,23 +95,23 @@ class Tensor:
         backward(self)
 
 
-_recording = True
+# Per context, like NumPy's error state: a thread's no_grad() is its own, and a copied context keeps it.
+_recording = ContextVar("recording", default=True)
 
 
 @contextmanager
 def no_grad() -> Iterator[None]:
     """Record no graph inside the block: every op's result is a constant."""
-    global _recording
-    previous, _recording = _recording, False
+    token = _recording.set(False)
     try:
         yield
     finally:
-        _recording = previous
+        _recording.reset(token)
 
 
 def recording() -> bool:
     """True unless inside ``no_grad()``: whether ops record a graph here."""
-    return _recording
+    return _recording.get()
 
 
 def _as_tensor(x) -> Tensor:
@@ -127,7 +128,7 @@ def apply_op(parents: Sequence[Tensor], data: np.ndarray, backward_rule: Backwar
     parents that do not require grad are ignored (may be None).
     """
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_rule

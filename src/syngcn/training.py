@@ -133,9 +133,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
+        if unknown := set(data) - set(cls.__dataclass_fields__):
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
 
@@ -239,7 +237,7 @@ class Model:
 
     def encode(self, record: Record) -> tuple[np.ndarray, np.ndarray]:
         """Token ids and Â of one record; an over-long or invalid one is a CorpusError.  A head cycle is
-        left to check_records, which every list entry point calls: per record it costs about an encode."""
+        left to check_records, which every list entry point calls: per record it costs about half an encode."""
         if len(record) > self.config.max_len:
             raise CorpusError(f"record: {len(record)} tokens exceed max_len {self.config.max_len}")
         graph = build_graph(record, self.config.adjacency_mode)
@@ -570,7 +568,9 @@ def _read_checkpoint(fh, path) -> Model:
         raise CheckpointError(f"{path} is truncated (header)")
     header = parse_json(fh.read(header_len), CheckpointError, f"{path} header")
     try:
-        config = TrainConfig.from_dict(header["config"])
+        config = TrainConfig.from_dict(header["config"])  # a default for a missing field would be a guess here
+        if missing := [f.name for f in fields(config) if f.name not in header["config"]]:
+            raise CheckpointError(f"{path} has a corrupt header: config lacks {', '.join(missing)}")
         vocab = Vocabulary.from_words(header["vocab_words"])
         if vocab.words != header["vocab_words"] or not all(isinstance(w, str) for w in vocab.words):
             raise CheckpointError(f"{path}: vocab_words must be a list of distinct strings")

@@ -296,6 +296,23 @@ class TestEval:
         assert captured.out == "" and not out.exists()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_header_config_without_a_field_fails_cleanly(self, workspace, tmp_path, capsys, command):
+        import struct
+
+        blob = workspace["checkpoint"].read_bytes()
+        header_len = struct.unpack("<Q", blob[8:16])[0]
+        header = json.loads(blob[16 : 16 + header_len])
+        del header["config"]["seed"]
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "noseed.sgcn"
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len :])
+        capsys.readouterr()
+        code = main([command, "--checkpoint", str(bad), "--test", str(workspace["corpus"])])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"syngcn {command}: checkpoint: {bad} has a corrupt header: config lacks seed\n"
+
     def test_deeply_nested_header_fails_cleanly(self, workspace, tmp_path, capsys):
         import struct
 

@@ -1,7 +1,9 @@
 """Tensor engine tests: forward values, error contracts, gradient checks."""
 
 import ast
+import contextvars
 import math
+import threading
 import zlib
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from syngcn.tensor import (
     matmul,
     mul,
     no_grad,
+    recording,
     relu,
     slice_rows,
     softmax,
@@ -298,6 +301,33 @@ class TestNoGrad:
                 pass
             assert not mul(w, w).requires_grad
         assert mul(w, w)._parents == (w, w)
+
+    def test_another_threads_block_leaves_this_thread_recording(self):
+        # Thread B sits inside no_grad() for the whole time this thread applies its op.
+        entered, done = threading.Event(), threading.Event()
+
+        def idle_in_no_grad():
+            with no_grad():
+                entered.set()
+                done.wait(timeout=30)
+
+        other = threading.Thread(target=idle_in_no_grad)
+        other.start()
+        try:
+            assert entered.wait(timeout=30)
+            w = Tensor(np.eye(2), requires_grad=True)
+            out = matmul(w, w)
+        finally:
+            done.set()
+            other.join(timeout=30)
+        assert out.requires_grad and out._parents == (w, w)
+        backward(sum_all(out))
+        np.testing.assert_array_equal(w.grad, [[2.0, 2.0], [2.0, 2.0]])
+
+    def test_a_copied_context_keeps_the_switch(self):
+        with no_grad():
+            inside = contextvars.copy_context()
+        assert recording() and not inside.run(recording)
 
 
 def _safe_relu_input(rng, shape):

@@ -4,6 +4,9 @@ import json
 import math
 import re
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syngcn import layers
 from syngcn import tensor as T
 from syngcn.corpus import CorpusError, Record, Vocabulary, build_vocab
 from syngcn.layers import orthogonal_init
@@ -399,6 +403,35 @@ class TestTrainLoop:
             train(tiny_config(), [], dev_recs)
         with pytest.raises(ConfigError):
             train(tiny_config(), train_recs, [])
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+    def test_predicting_on_another_thread_leaves_training_alone(self, tiny_corpus, tmp_path, monkeypatch, parallel):
+        # Model.predict scores under no_grad(); a training run on another thread must keep recording its tape.
+        monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0 if parallel else math.inf)
+        train_recs, dev_recs = tiny_corpus
+        config = tiny_config(epochs=3)
+        serial, threaded = tmp_path / "serial.jsonl", tmp_path / "threaded.jsonl"
+        save_history(train(config, train_recs, dev_recs).history, serial)
+        other = Model(config, build_vocab(train_recs), np.random.default_rng(5))
+        stop, predictions, interval = threading.Event(), [], sys.getswitchinterval()
+
+        def keep_predicting():
+            while not stop.is_set():
+                predictions.append(other.predict(dev_recs)[0])
+
+        predictor = threading.Thread(target=keep_predicting)
+        sys.setswitchinterval(1e-5)
+        predictor.start()
+        try:
+            while not predictions and predictor.is_alive():
+                time.sleep(0.001)
+            save_history(train(config, train_recs, dev_recs).history, threaded)
+        finally:
+            stop.set()
+            predictor.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert threaded.read_bytes() == serial.read_bytes()
+        assert len(predictions) > 1 and all(p == predictions[0] for p in predictions)
 
     def test_history_schema_and_loss_decreases(self, tiny_corpus):
         train_recs, dev_recs = tiny_corpus
@@ -901,6 +934,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="corrupt header: hidden_neurons must be at least 1, got 0"):
             load_checkpoint(bad)
 
+    def test_a_header_config_missing_fields_names_them(self, trained, tmp_path):
+        # Read with their defaults, these two would load as pooling_p 50.0 and adjacency_mode "syntax".
+        model, _, _ = trained
+        source = tmp_path / "source.sgcn"
+        save_checkpoint(Model(replace(model.config, pooling_p=25.0, adjacency_mode="all_ones"), model.vocab), source)
+
+        def edit(header):
+            del header["config"]["adjacency_mode"], header["config"]["pooling_p"]
+
+        bad = tmp_path / "short.sgcn"
+        bad.write_bytes(self._rewrite_header(source.read_bytes(), edit))
+        with pytest.raises(CheckpointError, match="corrupt header: config lacks pooling_p, adjacency_mode$"):
+            load_checkpoint(bad)
+
     def test_large_max_len_loads_without_an_fc_head(self, trained, tmp_path):
         _, path, _ = trained
         wide = tmp_path / "wide.sgcn"
@@ -998,7 +1045,8 @@ class TestCheckpoint:
         _, path, _ = trained
         blob = path.read_bytes()
         header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
-        kind = data.draw(st.sampled_from(["truncate", "prefix", "header", "payload", "value", "word", "float"]))
+        kinds = ["truncate", "prefix", "header", "payload", "value", "word", "float", "drop"]
+        kind, dropped = data.draw(st.sampled_from(kinds)), None
         if kind == "truncate":
             bad = blob[: data.draw(st.integers(0, len(blob) - 1))]
         elif kind == "float":
@@ -1020,6 +1068,9 @@ class TestCheckpoint:
                 owner[key.removeprefix("config.")] = value
 
             bad = self._rewrite_header(blob, edit)
+        elif kind == "drop":  # a checkpoint's config must hold every field: none may fall back to a default
+            dropped = data.draw(st.sampled_from(list(TrainConfig.__dataclass_fields__)))
+            bad = self._rewrite_header(blob, lambda header: header["config"].pop(dropped))
         else:
             low, high = {"prefix": (0, 16), "header": (16, header_end), "payload": (header_end, len(blob))}[kind]
             flipped = bytearray(blob)
@@ -1029,8 +1080,10 @@ class TestCheckpoint:
         target.write_bytes(bad)
         try:
             model = load_checkpoint(target)
-        except CheckpointError:
+        except CheckpointError as exc:
+            assert dropped is None or str(exc).endswith(f"config lacks {dropped}")
             return
+        assert dropped is None
         assert all(np.isfinite(arr).all() for _, arr in model.state_arrays())
         assert all(isinstance(word, str) for word in model.vocab.words)
 
