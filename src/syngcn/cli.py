@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -119,11 +120,22 @@ def _run_training(config: TrainConfig, args, verbose: bool):
     return train(config, train_records, dev_records, log=log)
 
 
+def _check_output(flag: str, path: str) -> None:
+    """Fail before any training when ``path`` cannot become a file: it is a directory, or its parent is missing."""
+    if os.path.isdir(path):
+        raise ConfigError(f"{flag} {path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{flag} {path}: directory {parent} does not exist")
+
+
 def _cmd_train(args) -> int:
     config = _resolve_config(args)
+    history_path = args.out or (args.checkpoint + ".history")
+    _check_output("--checkpoint", args.checkpoint)
+    _check_output("--out", history_path)
     result = _run_training(config, args, args.verbose)
     save_checkpoint(result.model, args.checkpoint)
-    history_path = args.out or (args.checkpoint + ".history")
     save_history(result.history, history_path)
     print(f"best epoch {result.best_epoch}: "
           f"dev macro F = {result.best_dev.macro_f:.4f}, micro F = {result.best_dev.micro_f:.4f}")
@@ -186,9 +198,11 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs --values with at least one value")
     base = _resolve_config(args)
+    configs = [base.with_overrides({args.param: value}) for value in values]  # every value parses before a run
+    if args.out:
+        _check_output("--out", args.out)
     rows = []
-    for value in values:
-        config = base.with_overrides({args.param: value})
+    for value, config in zip(values, configs):
         result = _run_training(config, args, verbose=False)
         rows.append((value, result.best_dev.macro_f, result.best_dev.micro_f))
         print(f"{args.param}={value}: dev macro F = {rows[-1][1]:.4f}, micro F = {rows[-1][2]:.4f}",

@@ -12,6 +12,7 @@ A batch is one [N, d] matrix of its records' rows, record after record;
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
@@ -27,9 +28,15 @@ SVD_TRIES = 3  # fresh Gaussian samples orthogonal_init tries before it gives up
 # directions at once.  Below it the threads' turns at the GIL cost more than the overlap saves:
 # on 2 cores, layers of hidden 16-64 at 32 sequences, 128 at 6-8 and 180 at 2-4 ran slower.
 PARALLEL_MIN_STEP_WORK = 150_000
+# Most rows in one product of a cell's input projection, which runs on the thread that walks the cell.
+# Peak RSS grows with the row count of the largest product the worker thread runs.  Predicting 8 x 12
+# chunks at paper size (2 cores, one BLAS thread) peaked at 123.5 MB with every projection on the
+# calling thread; with them on the thread of their walk, at 128.6 MB in one product, 124.8 MB in blocks
+# of 1024 rows, 123.5 MB at 512, 122.3 MB at 256 and 121.7 MB at 128.
+PROJECTION_ROWS = 256
 
-# Holds the one worker thread, which the first parallel layer starts (an executor starts none before then).
-_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bilstm")
+# Holds the one worker thread, which the first ``on_two_threads`` call starts (an executor starts none before then).
+_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="syngcn-worker")
 
 
 class EmbeddingTable:
@@ -106,24 +113,28 @@ def _stacked(weights: dict[str, Tensor]) -> np.ndarray:
 class _CellPass:
     """One LstmCell's walks over packed sequences: the forward, then BPTT when a tape records the run.
 
-    The gate blocks sit side by side and one input projection covers every row.  One
-    list of time steps drives both walks: step t holds the rows of the k_t sequences
-    still running, longest first (the ``batch_sizes`` layout of packed sequences).  The
-    forward takes one ``[k_t, hidden]`` product per step; BPTT walks the steps in
-    reverse with one ``[k_t, 4 * hidden]`` product each.  Every array of n rows or of a
-    weight's size is allocated by the thread that builds the pass or asks for
-    ``backward_arrays``; the walks fill them in place and allocate one step's rows at
-    most.  So either walk may run on the worker thread: glibc keeps what a thread frees
-    in that thread's own arena, which thus stays one step's rows small.
+    The gate blocks sit side by side.  The forward first fills acts with the input
+    projections, in near-equal blocks of at most ``PROJECTION_ROWS`` rows: a block has
+    one row only when n does, since NumPy multiplies one row with gemv, whose sums may
+    round other than gemm's, while blocks of two or more rows give the bits of one whole
+    product.  One list of time steps drives both walks: step t holds the rows of the k_t
+    sequences still running, longest first (the ``batch_sizes`` layout of packed
+    sequences).  The forward takes one ``[k_t, hidden]`` product per step; BPTT walks
+    the steps in reverse with one ``[k_t, 4 * hidden]`` product each.  Every array of n
+    rows or of a weight's size is allocated by the thread that builds the pass or asks
+    for ``backward_arrays``; the walks fill them in place and allocate one step's rows
+    at most.  So either walk may run on the worker thread: glibc keeps what a thread
+    frees in that thread's own arena, which thus stays one step's rows small, and the
+    projection's blocks keep the worker's products as small (see ``PROJECTION_ROWS``).
     """
 
     def __init__(self, cell: LstmCell, x: np.ndarray, bounds: list[int], reverse: bool, hs: np.ndarray):
         self.cell, self.x, self.hs = cell, x, hs  # hs [n, hidden] receives the states; it may be a view
-        self.acts = x @ _stacked(cell.w_x)  # the input projections; a recorded forward overwrites them with i, f, o, g
-        self.acts += _stacked(cell.bias)
+        # The input projections, then (when recording) the gate values i, f, o, g: the forward fills it.
+        self.acts = np.empty((len(x), 4 * cell.hidden))
         self.cs = np.empty(hs.shape) if T.recording() else None  # row r: cell state after row r
         # The walks' own copies of the weights, held only while a walk runs: backward_arrays stacks them again.
-        self.w_x, self.w_h = None, _stacked(cell.w_h)
+        self.w_x, self.w_h, self.bias = _stacked(cell.w_x), _stacked(cell.w_h), _stacked(cell.bias)
         self.scale = np.repeat([0.5, 0.5, 0.5, 1.0], cell.hidden)  # sigmoid for i, f, o; tanh for g
         # Lockstep: longest sequence first, so at step t the sequences still
         # running are a prefix of that order, and their states the first k_t
@@ -136,9 +147,13 @@ class _CellPass:
         self.steps = [firsts[: np.count_nonzero(sizes > t)] + self.direction * t for t in range(sizes[0])]
 
     def forward(self) -> None:
-        """Fill hs, and when recording the gate values (over acts) and cs, row by row."""
+        """Project the inputs into acts; fill hs, and when recording the gate values (over acts) and cs, row by row."""
         hid, acts, cs, scale, w_h = self.cell.hidden, self.acts, self.cs, self.scale, self.w_h
-        shift = 1.0 - scale
+        shift, n = 1.0 - scale, len(acts)
+        blocks = -(-n // PROJECTION_ROWS)  # block k: rows k * n // blocks up to (k + 1) * n // blocks
+        for start, stop in itertools.pairwise(k * n // blocks for k in range(blocks + 1)):
+            np.matmul(self.x[start:stop], self.w_x, out=acts[start:stop])
+            acts[start:stop] += self.bias
         h = c = np.zeros((len(self.steps[0]), hid))
         for rows in self.steps:
             k = len(rows)
@@ -150,7 +165,7 @@ class _CellPass:
             self.hs[rows] = h
             if cs is not None:
                 acts[rows], cs[rows] = a, c
-        self.w_h = None
+        self.w_x = self.w_h = self.bias = None
 
     def backward_arrays(self) -> tuple[np.ndarray, ...]:
         """Stack the weights again; return empty dx, dw_x, dw_h and db for ``backward`` to fill."""
@@ -202,7 +217,7 @@ def _segment_bounds(x: Tensor, lengths=None) -> list[int]:
     return np.cumsum([0, *lengths]).tolist()
 
 
-def _both(mine: Callable[[], object], theirs: Callable[[], object]) -> tuple:
+def on_two_threads(mine: Callable[[], object], theirs: Callable[[], object]) -> tuple:
     """mine() on this thread while the worker thread runs theirs() in a copy of this thread's context.
 
     The context carries NumPy's error state and the tape's recording switch: a new thread inherits neither.
@@ -219,7 +234,7 @@ def _both(mine: Callable[[], object], theirs: Callable[[], object]) -> tuple:
 def _new_worker() -> None:
     # A forked child inherits the parent's executor but not its thread, which would never run a task.
     global _worker
-    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bilstm")
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="syngcn-worker")
 
 
 os.register_at_fork(after_in_child=_new_worker)
@@ -230,11 +245,11 @@ def _bilstm_layer(fwd: LstmCell, bwd: LstmCell, x: Tensor, bounds: list[int]) ->
     hid = fwd.hidden
     out = np.empty((x.shape[0], 2 * hid))
     walks = _CellPass(fwd, x.data, bounds, False, out[:, :hid]), _CellPass(bwd, x.data, bounds, True, out[:, hid:])
-    _both(walks[0].forward, walks[1].forward)
+    on_two_threads(walks[0].forward, walks[1].forward)
 
     def rule(grad):
         (f, f_arrays), (b, b_arrays) = ((walk, walk.backward_arrays()) for walk in walks)
-        (dx, *d_fwd), (dx_bwd, *d_bwd) = _both(
+        (dx, *d_fwd), (dx_bwd, *d_bwd) = on_two_threads(
             lambda: f.backward(grad[:, :hid], *f_arrays), lambda: b.backward(grad[:, hid:], *b_arrays)
         )
         dx += dx_bwd

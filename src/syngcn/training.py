@@ -37,6 +37,7 @@ from .layers import (
     GcnLayer,
     LstmCell,
     average_pool,
+    on_two_threads,
     orthogonal_init,
     percentile_pool,
 )
@@ -65,6 +66,10 @@ POOLING_MODES = ("percentile", "average", "fc")
 DEFAULT_SEED = 42
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and the update's denominator floor
 ADAM_BLOCK = 32768  # floats per slice of an Adam update: 256 KiB, so a slice's temporaries stay in cache
+# Floats from which Adam splits its slices between two threads.  On 2 cores (one BLAS thread) a split
+# step took 1.5-1.7x the one-thread time at 11 K floats, 1.0-1.1x at 32-48 K, 0.84-0.97x at 64-98 K and
+# 0.90-0.95x at 131 K: the cut leaves a 16/16 model (11,056 floats) on the calling thread.
+ADAM_PARALLEL_MIN = 4 * ADAM_BLOCK
 
 
 def _parse_bool(raw: str) -> bool:
@@ -133,6 +138,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         if unknown := set(data) - set(cls.__dataclass_fields__):
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
@@ -333,8 +340,13 @@ class Adam:
     ``ADAM_BLOCK`` floats, so every temporary of the update is one slice
     long and stays in cache.  In each slice it updates the moments ``m``
     and ``v`` in place and writes ``p * decay - lr * m_hat / (sqrt(v_hat)
-    + eps)``, in that operation order, into the parameter's new array.  A
-    non-finite gradient raises before its parameter, ``m`` or ``v`` is written.
+    + eps)``, in that operation order, into the parameter's new array.
+    From ``ADAM_PARALLEL_MIN`` floats on, the worker thread of
+    ``on_two_threads`` updates the slices past half the floats while the
+    calling thread updates the rest; every new array is allocated, and every
+    ``p.data`` bound, on the calling thread once both halves are done.  A
+    non-finite gradient in any parameter raises before any parameter, ``m``,
+    ``v`` or the step count is written.
     """
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 0.001, weight_decay: float = 0.0):
@@ -346,6 +358,9 @@ class Adam:
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
 
     def step(self) -> None:
+        for name, p in self.named_params:
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise OptimizationError(f"non-finite gradient in {name}")
         self.t += 1
         c1, c2 = 1 - ADAM_BETA1**self.t, 1 - ADAM_BETA2**self.t
         decay = 1.0 - self.lr * self.weight_decay  # exactly 1.0 without weight decay
@@ -358,18 +373,28 @@ class Adam:
             np.multiply(old, decay, out=new)
             new -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
+        news, slices = [], []  # each parameter's new array; (old, new, m, v, g) per slice of every parameter
         for name, p in self.named_params:
+            news.append(np.empty_like(p.data))
             g = np.broadcast_to(0.0, p.shape) if p.grad is None else p.grad
-            if not np.isfinite(g).all():
-                raise OptimizationError(f"non-finite gradient in {name}")
-            old, new, m, v = p.data, np.empty_like(p.data), self.m[name], self.v[name]
-            rows = ADAM_BLOCK * len(old) // old.size or 1
-            if rows >= len(old):  # one slice: the whole arrays, with no views to make
-                update(old, new, m, v, g)
+            arrays = p.data, news[-1], self.m[name], self.v[name], g
+            rows = ADAM_BLOCK * len(p.data) // p.data.size or 1
+            if rows >= len(p.data):  # one slice: the whole arrays, with no views to make
+                slices.append(arrays)
             else:
-                for start in range(0, len(old), rows):
-                    b = slice(start, start + rows)
-                    update(old[b], new[b], m[b], v[b], g[b])
+                slices += [tuple(a[start : start + rows] for a in arrays) for start in range(0, len(p.data), rows)]
+
+        def run(part):
+            for arrays in part:
+                update(*arrays)
+
+        floats = np.cumsum([0, *(arrays[0].size for arrays in slices)])
+        if floats[-1] < ADAM_PARALLEL_MIN:
+            run(slices)
+        else:
+            cut = int(np.searchsorted(floats, floats[-1] / 2))
+            on_two_threads(lambda: run(slices[:cut]), lambda: run(slices[cut:]))
+        for (_, p), new in zip(self.named_params, news):
             p.data = new
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syngcn import cli
 from syngcn.cli import main
 from syngcn.corpus import EMOTION_NAMES, save_corpus
 from syngcn.synthetic import class_word_corpus
@@ -113,6 +114,21 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 1
         assert "config:" in err and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--out"])
+    @pytest.mark.parametrize("fault", ["directory", "missing-parent"])
+    def test_unwritable_output_path_fails_before_training(self, workspace, tmp_path, capsys, monkeypatch, flag, fault):
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("train() ran"))
+        (tmp_path / "taken").mkdir()
+        bad = tmp_path / "taken" if fault == "directory" else tmp_path / "absent" / "file"
+        paths = {"--checkpoint": tmp_path / "x.sgcn", "--out": tmp_path / "x.history", flag: bad}
+        code = main(["train", "--train", str(workspace["corpus"]), "--checkpoint", str(paths["--checkpoint"]),
+                     "--out", str(paths["--out"]), *TINY])
+        reason = f"{bad} is a directory" if fault == "directory" else f"{bad}: directory {bad.parent} does not exist"
+        assert capsys.readouterr().err == f"syngcn train: config: {flag} {reason}\n"
+        assert code == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no checkpoint and no history
+        assert not any((tmp_path / "taken").iterdir())
 
     def test_negative_seed_fails_with_config_message(self, workspace, tmp_path, capsys):
         code = main(
@@ -547,6 +563,22 @@ class TestSweep:
         assert code == 0
         history = load_history(str(ckpt) + ".history")
         assert rows[1]["dev_macro_f"] == pytest.approx(max(e["dev_macro_f"] for e in history), abs=1e-12)
+
+    def test_every_value_parses_before_the_first_run(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("train() ran"))
+        code = main(["sweep", "--train", str(workspace["corpus"]), "--param", "pooling_p", "--values", "10,abc",
+                     "--out", str(tmp_path / "rows.jsonl"), *TINY])
+        captured = capsys.readouterr()
+        assert captured.err == "syngcn sweep: config: pooling_p expects float, got 'abc'\n"
+        assert code == 1 and captured.out == ""
+        assert not any(tmp_path.iterdir())
+
+    def test_out_directory_fails_before_the_first_run(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("train() ran"))
+        code = main(["sweep", "--train", str(workspace["corpus"]), "--param", "pooling_p", "--values", "10,50",
+                     "--out", str(tmp_path), *TINY])
+        assert capsys.readouterr().err == f"syngcn sweep: config: --out {tmp_path} is a directory\n"
+        assert code == 1 and not any(tmp_path.iterdir())
 
     def test_empty_grid_is_error(self, workspace, capsys):
         code = main(

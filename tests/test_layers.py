@@ -142,6 +142,27 @@ class TestLstmCell:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_run_past_one_projection_block_matches_per_step_oracle(self, reverse):
+        # 298 rows: the forward projects the inputs in two blocks, 149 rows each.
+        rng = np.random.default_rng(23 + reverse)
+        cell = LstmCell(5, 4, rng, name="cell")
+        for gate in LstmCell.GATES:
+            cell.bias[gate].data[...] = rng.normal(size=(1, 4))
+        lengths = [257, 1, 40]
+        bounds = np.cumsum([0, *lengths])
+        assert bounds[-1] > layers.PROJECTION_ROWS
+        x, cot = rng.normal(size=(bounds[-1], 5)), rng.normal(size=(bounds[-1], 4))
+
+        def each(t):
+            parts = [T.slice_rows(t, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+            return T.concat([reference_lstm.run(cell, part, reverse) for part in parts])
+
+        packed = _cell_outputs_and_grads(lambda t: cell.run(t, reverse=reverse, lengths=lengths), cell, x, cot)
+        oracle = _cell_outputs_and_grads(each, cell, x, cot)
+        for got, want in zip(packed, oracle):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("lengths", [[3, 0, 2], [6, -1], [2, 2], [4, 2], []])
     def test_bad_lengths_rejected(self, lengths):
         cell = LstmCell(2, 3, np.random.default_rng(9), name="cell")
@@ -317,6 +338,22 @@ class TestParallelLayer:
         assert len(results[0]) == 2 + 24 * 2 + 1
         for sequential, parallel in zip(*results):
             np.testing.assert_array_equal(parallel, sequential)
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+    def test_projection_blocks_give_the_whole_products_bits(self, monkeypatch, parallel):
+        # 257 and 769 rows: blocks of 256 rows and a remainder would leave a one-row block, which
+        # NumPy multiplies with gemv; the near-equal blocks (two of 128-129, four of 192-193) do not.
+        monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0 if parallel else math.inf)
+        rng = np.random.default_rng(29)
+        for lengths in ([257], [300, 1, 211, 257]):
+            net = BiLstm(input_dim=5, hidden=4, layers=2, dropout=0.5, rng=rng)
+            x, cot = rng.normal(size=(sum(lengths), 5)), rng.normal(size=(sum(lengths), 8))
+            results = []
+            for rows in (10**9, 256):  # one product over every row, as a single block; then the default blocks
+                monkeypatch.setattr(layers, "PROJECTION_ROWS", rows)
+                results.append(_bilstm_results(net, x, lengths, cot))
+            for whole, blocked in zip(*results):
+                np.testing.assert_array_equal(blocked, whole)
 
     def test_a_layer_is_one_tape_op(self, monkeypatch):
         monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syngcn import layers
+from syngcn import layers, training
 from syngcn import tensor as T
 from syngcn.corpus import CorpusError, Record, Vocabulary, build_vocab
 from syngcn.layers import orthogonal_init
@@ -24,6 +24,7 @@ from syngcn.synthetic import class_word_corpus
 from syngcn.tensor import Tensor, backward, mul, softmax_cross_entropy, sum_all
 from syngcn.training import (
     ADAM_BLOCK,
+    ADAM_PARALLEL_MIN,
     Adam,
     CheckpointError,
     ConfigError,
@@ -109,6 +110,11 @@ class TestTrainConfig:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigError, match="momentum"):
             TrainConfig.from_dict({"momentum": 0.9})
+
+    @pytest.mark.parametrize("data", ["abc", ["pooling_p"], 7, None])
+    def test_from_dict_rejects_a_non_mapping(self, data):
+        with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+            TrainConfig.from_dict(data)
 
     def test_string_overrides_coerce_types(self):
         config = TrainConfig().with_overrides(
@@ -332,6 +338,7 @@ class TestAdam:
         rng = np.random.default_rng(5)
         starts = [rng.standard_normal(shape) for _, shape, _ in self.BLOCKED]
         assert [ADAM_BLOCK * len(a) // a.size or 1 for a in starts] == [109, ADAM_BLOCK, 1, 1092]
+        assert sum(a.size for a in starts) > ADAM_PARALLEL_MIN  # both threads update slices
         pairs = [(Tensor(a.copy(), requires_grad=True), Tensor(a.copy(), requires_grad=True)) for a in starts]
         blocked = Adam([(name, p) for (name, _, _), (p, _) in zip(self.BLOCKED, pairs)], 0.01, weight_decay)
         reference = ReferenceAdam([(name, q) for (name, _, _), (_, q) in zip(self.BLOCKED, pairs)], 0.01, weight_decay)
@@ -345,6 +352,69 @@ class TestAdam:
             assert p.data.tobytes() == q.data.tobytes(), name
             assert blocked.m[name].tobytes() == reference.m[name].tobytes(), name
             assert blocked.v[name].tobytes() == reference.v[name].tobytes(), name
+
+    @pytest.mark.parametrize("split", [False, True], ids=["below-the-cut", "cut-at-0"])
+    def test_small_step_matches_the_reference_on_either_path(self, monkeypatch, split):
+        # Below ADAM_PARALLEL_MIN no slice reaches the worker; from a cut of 0 floats every step splits.
+        calls = []
+
+        def on_two_threads(mine, theirs):
+            assert split, "a step below ADAM_PARALLEL_MIN floats used the worker thread"
+            calls.append(True)
+            return layers.on_two_threads(mine, theirs)
+
+        monkeypatch.setattr(training, "on_two_threads", on_two_threads)
+        if split:
+            monkeypatch.setattr(training, "ADAM_PARALLEL_MIN", 0)
+        rng = np.random.default_rng(8)
+        shapes = [(3,), (5, 4), (1, 7), (2 * ADAM_BLOCK // 3, 4), (2,)]  # the fourth has three slices
+        pairs = [(Tensor(a, requires_grad=True), Tensor(a.copy(), requires_grad=True))
+                 for a in (rng.standard_normal(shape) for shape in shapes)]
+        assert sum(p.data.size for p, _ in pairs) < ADAM_PARALLEL_MIN
+        split_adam = Adam([(f"p{k}", p) for k, (p, _) in enumerate(pairs)], 0.01, 0.5)
+        reference = ReferenceAdam([(f"p{k}", q) for k, (_, q) in enumerate(pairs)], 0.01, 0.5)
+        for _ in range(3):
+            for p, q in pairs:
+                p.grad = q.grad = rng.standard_normal(p.shape)
+            split_adam.step()
+            reference.step()
+        assert len(calls) == (3 if split else 0)
+        for k, (p, q) in enumerate(pairs):
+            assert p.data.tobytes() == q.data.tobytes(), k
+            assert split_adam.m[f"p{k}"].tobytes() == reference.m[f"p{k}"].tobytes(), k
+            assert split_adam.v[f"p{k}"].tobytes() == reference.v[f"p{k}"].tobytes(), k
+
+    def test_split_steps_on_many_threads_share_the_worker(self, monkeypatch):
+        # More stepping threads than cores queue on the one worker; each gets its own reference bytes.
+        monkeypatch.setattr(training, "ADAM_PARALLEL_MIN", 0)
+        rng = np.random.default_rng(12)
+        starts = [rng.standard_normal((3 * ADAM_BLOCK // 40, 10)) for _ in range(6)]
+        grads = [rng.standard_normal(a.shape) for a in starts]
+        results, interval = [None] * len(starts), sys.getswitchinterval()
+
+        def steps(k, optimizer):
+            w = Tensor(starts[k].copy(), requires_grad=True)
+            opt = optimizer([("w", w)], 0.01, 0.5)
+            for _ in range(3):
+                w.grad = grads[k]
+                opt.step()
+            return w.data
+
+        def call(k):
+            results[k] = steps(k, Adam)
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(starts))]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, got in enumerate(results):
+            assert got.tobytes() == steps(k, ReferenceAdam).tobytes(), k
 
     def test_step_peaks_at_one_new_array(self):
         # The whole-array update holds about five parameter-sized temporaries at once; the blocked one
@@ -373,6 +443,26 @@ class TestAdam:
             opt.step()
         assert w.data is held and w.data.tobytes() == data.tobytes()
         assert opt.m["gcn.weight"].tobytes() == m.tobytes() and opt.v["gcn.weight"].tobytes() == v.tobytes()
+
+    def test_non_finite_gradient_in_the_last_parameter_changes_nothing(self):
+        # The table alone passes the cut, so a step splits; the check runs before either half.
+        rng = np.random.default_rng(4)
+        params = [("embedding.table", Tensor(rng.standard_normal((1000, 300)), requires_grad=True)),
+                  ("gcn.weight", Tensor(rng.standard_normal((6, 7)), requires_grad=True))]
+        assert params[0][1].data.size > ADAM_PARALLEL_MIN
+        opt = Adam(params, lr=0.1, weight_decay=0.5)
+        for _, p in params:
+            p.grad = np.ones(p.shape)
+        opt.step()
+        held = {name: (p.data, p.data.copy(), opt.m[name].copy(), opt.v[name].copy()) for name, p in params}
+        params[-1][1].grad[-1, -1] = np.nan
+        with pytest.raises(OptimizationError, match="^non-finite gradient in gcn.weight$"):
+            opt.step()
+        assert opt.t == 1
+        for name, p in params:
+            data, values, m, v = held[name]
+            assert p.data is data and p.data.tobytes() == values.tobytes(), name
+            assert opt.m[name].tobytes() == m.tobytes() and opt.v[name].tobytes() == v.tobytes(), name
 
 
 def tiny_config(**overrides):
@@ -948,6 +1038,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="corrupt header: config lacks pooling_p, adjacency_mode$"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("config", ["abc", ["pooling_p"], 7])
+    def test_a_header_config_of_another_json_type_is_named(self, trained, tmp_path, config):
+        _, path, _ = trained
+        bad = tmp_path / "mistyped.sgcn"
+        bad.write_bytes(self._rewrite_header(path.read_bytes(), lambda header: header.update(config=config)))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(bad)
+        assert str(info.value) == f"{bad} has a corrupt header: config must be a JSON object"
+
     def test_large_max_len_loads_without_an_fc_head(self, trained, tmp_path):
         _, path, _ = trained
         wide = tmp_path / "wide.sgcn"
@@ -1045,8 +1144,8 @@ class TestCheckpoint:
         _, path, _ = trained
         blob = path.read_bytes()
         header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
-        kinds = ["truncate", "prefix", "header", "payload", "value", "word", "float", "drop"]
-        kind, dropped = data.draw(st.sampled_from(kinds)), None
+        kinds = ["truncate", "prefix", "header", "payload", "value", "word", "float", "drop", "config"]
+        kind, dropped, mistyped = data.draw(st.sampled_from(kinds)), None, False
         if kind == "truncate":
             bad = blob[: data.draw(st.integers(0, len(blob) - 1))]
         elif kind == "float":
@@ -1068,6 +1167,10 @@ class TestCheckpoint:
                 owner[key.removeprefix("config.")] = value
 
             bad = self._rewrite_header(blob, edit)
+        elif kind == "config":  # a config of any JSON type but an object
+            value = data.draw(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+                              | st.lists(st.sampled_from([*TrainConfig.__dataclass_fields__, 0]), max_size=3))
+            bad, mistyped = self._rewrite_header(blob, lambda header: header.update(config=value)), True
         elif kind == "drop":  # a checkpoint's config must hold every field: none may fall back to a default
             dropped = data.draw(st.sampled_from(list(TrainConfig.__dataclass_fields__)))
             bad = self._rewrite_header(blob, lambda header: header["config"].pop(dropped))
@@ -1082,8 +1185,9 @@ class TestCheckpoint:
             model = load_checkpoint(target)
         except CheckpointError as exc:
             assert dropped is None or str(exc).endswith(f"config lacks {dropped}")
+            assert not mistyped or str(exc) == f"{target} has a corrupt header: config must be a JSON object"
             return
-        assert dropped is None
+        assert dropped is None and not mistyped
         assert all(np.isfinite(arr).all() for _, arr in model.state_arrays())
         assert all(isinstance(word, str) for word in model.vocab.words)
 
