@@ -28,7 +28,8 @@ SVD_TRIES = 3  # fresh Gaussian samples orthogonal_init tries before it gives up
 # directions at once.  Below it the threads' turns at the GIL cost more than the overlap saves:
 # on 2 cores, layers of hidden 16-64 at 32 sequences, 128 at 6-8 and 180 at 2-4 ran slower.
 PARALLEL_MIN_STEP_WORK = 150_000
-# Most rows in one product of a cell's input projection, which runs on the thread that walks the cell.
+# Most rows in one product of a cell's input projection, which runs on the thread that walks the cell;
+# each block gathers its rows of x in the walk's time-major order, the one copy of inputs a walk makes.
 # Peak RSS grows with the row count of the largest product the worker thread runs.  Predicting 8 x 12
 # chunks at paper size (2 cores, one BLAS thread) peaked at 123.5 MB with every projection on the
 # calling thread; with them on the thread of their walk, at 128.6 MB in one product, 124.8 MB in blocks
@@ -66,8 +67,8 @@ class LstmCell:
     at 1 so early training does not flush the cell state.  One activation covers the
     gate block: scale * tanh(scale * z) + 1 - scale, with scale 1/2 the sigmoid of
     i, f, o (sigmoid(z) = tanh(z/2)/2 + 1/2) and scale 1 the tanh of g.  ``run`` is one
-    tape op for a packed batch of sequences; its walks are a ``_CellPass``, which
-    ``BiLstm`` also runs two at a time.
+    tape op for a packed batch of sequences; its walks are a ``_CellPass``, time-major
+    and in place, which ``BiLstm`` also runs two at a time.
     """
 
     GATES = ("input", "forget", "output", "candidate")
@@ -113,99 +114,145 @@ def _stacked(weights: dict[str, Tensor]) -> np.ndarray:
 class _CellPass:
     """One LstmCell's walks over packed sequences: the forward, then BPTT when a tape records the run.
 
-    The gate blocks sit side by side.  The forward first fills acts with the input
-    projections, in near-equal blocks of at most ``PROJECTION_ROWS`` rows: a block has
-    one row only when n does, since NumPy multiplies one row with gemv, whose sums may
-    round other than gemm's, while blocks of two or more rows give the bits of one whole
-    product.  One list of time steps drives both walks: step t holds the rows of the k_t
-    sequences still running, longest first (the ``batch_sizes`` layout of packed
-    sequences).  The forward takes one ``[k_t, hidden]`` product per step; BPTT walks
-    the steps in reverse with one ``[k_t, 4 * hidden]`` product each.  Every array of n
-    rows or of a weight's size is allocated by the thread that builds the pass or asks
-    for ``backward_arrays``; the walks fill them in place and allocate one step's rows
-    at most.  So either walk may run on the worker thread: glibc keeps what a thread
-    frees in that thread's own arena, which thus stays one step's rows small, and the
-    projection's blocks keep the worker's products as small (see ``PROJECTION_ROWS``).
+    Both walks are time-major (the ``batch_sizes`` layout of packed sequences): at step t
+    the k_t sequences still running advance together, longest first, and step t's rows of
+    ``acts``, ``cs`` and the recorded states are the one slice ``offsets[t]:offsets[t + 1]``;
+    ``rows`` maps each time-major row to its packed row.  The gate blocks sit side by side.
+    The forward first fills acts with the input projections, each block of at most
+    ``PROJECTION_ROWS`` rows gathering its rows of x in time-major order.  The blocks are
+    near-equal, so a block has one row only when n does: NumPy multiplies one row with
+    gemv, whose sums may round other than gemm's, while blocks of two or more rows give
+    the bits of one whole product.  Each step then takes one ``[k_t, hidden]`` product
+    and does its gate math in place on its slice, with no fancy indexing; the walk
+    scatters its states to ``hs`` once.  Recording, acts keeps the gate values i, f, o, g
+    and cs the cell states; under ``no_grad`` each step's states overwrite its spent
+    input-gate columns, so a prediction holds no n-row array but acts.  BPTT walks the
+    same slices in reverse with one ``[k_t, 4 * hidden]`` product each, overwriting the
+    gate values with the pre-activations' gradients, and scatters those once to packed
+    row order, so the weight gradients sum their rows in packed order.
+
+    Every array of n rows or of a weight's size is allocated by the thread that builds
+    the pass or asks for ``backward_arrays``; the walks fill them in place and allocate
+    one step's rows at most.  So either walk may run on the worker thread: glibc keeps
+    what a thread frees in that thread's own arena, which thus stays one step's rows
+    small, and the projection's blocks keep the worker's products as small (see
+    ``PROJECTION_ROWS``).  Allocating the packed gradients on the walking thread instead
+    raised a paper-size training run's peak RSS by 1.1-5.3 % (three 15 s runs each).
     """
 
     def __init__(self, cell: LstmCell, x: np.ndarray, bounds: list[int], reverse: bool, hs: np.ndarray):
-        self.cell, self.x, self.hs = cell, x, hs  # hs [n, hidden] receives the states; it may be a view
+        self.cell, self.x, self.hs = cell, x, hs  # hs [n, hidden] receives the states, in packed order; may be a view
+        n, hid = len(x), cell.hidden
         # The input projections, then (when recording) the gate values i, f, o, g: the forward fills it.
-        self.acts = np.empty((len(x), 4 * cell.hidden))
-        self.cs = np.empty(hs.shape) if T.recording() else None  # row r: cell state after row r
+        self.acts = np.empty((n, 4 * hid))
+        recording = T.recording()
+        self.cs = np.empty((n, hid)) if recording else None  # cell states; the forward fills it
+        self.h = np.empty((n, hid)) if recording else None  # hidden states, until the forward scatters them
         # The walks' own copies of the weights, held only while a walk runs: backward_arrays stacks them again.
         self.w_x, self.w_h, self.bias = _stacked(cell.w_x), _stacked(cell.w_h), _stacked(cell.bias)
-        self.scale = np.repeat([0.5, 0.5, 0.5, 1.0], cell.hidden)  # sigmoid for i, f, o; tanh for g
-        # Lockstep: longest sequence first, so at step t the sequences still
-        # running are a prefix of that order, and their states the first k_t
-        # rows of h and c.  steps[t] holds their rows; a reverse run starts at
+        self.scale = np.repeat([0.5, 0.5, 0.5, 1.0], hid)  # sigmoid for i, f, o; tanh for g
+        # Longest sequence first, so the k_t sequences running at step t are a prefix of that order
+        # and step t + 1's rows continue the first k_{t+1} of step t's.  A reverse run starts at
         # each sequence's last row and walks back.
         sizes = np.diff(bounds)
         order = np.argsort(-sizes, kind="stable")
         sizes, self.direction = sizes[order], -1 if reverse else 1
         firsts = (np.asarray(bounds[1:]) - 1 if reverse else np.asarray(bounds[:-1]))[order]
-        self.steps = [firsts[: np.count_nonzero(sizes > t)] + self.direction * t for t in range(sizes[0])]
+        running = len(sizes) - np.searchsorted(sizes[::-1], np.arange(sizes[0]), side="right")  # k_t
+        offsets = np.concatenate([[0], np.cumsum(running)])
+        step = np.repeat(np.arange(len(running)), running)  # of each time-major row
+        self.rows = firsts[np.arange(n) - offsets[step]] + self.direction * step
+        self.offsets = offsets.tolist()
 
     def forward(self) -> None:
-        """Project the inputs into acts; fill hs, and when recording the gate values (over acts) and cs, row by row."""
-        hid, acts, cs, scale, w_h = self.cell.hidden, self.acts, self.cs, self.scale, self.w_h
+        """Project the inputs into acts; fill hs, and when recording the gate values (over acts) and cs."""
+        hid, acts, cs, rows, scale, w_h = self.cell.hidden, self.acts, self.cs, self.rows, self.scale, self.w_h
         shift, n = 1.0 - scale, len(acts)
         blocks = -(-n // PROJECTION_ROWS)  # block k: rows k * n // blocks up to (k + 1) * n // blocks
         for start, stop in itertools.pairwise(k * n // blocks for k in range(blocks + 1)):
-            np.matmul(self.x[start:stop], self.w_x, out=acts[start:stop])
+            np.matmul(self.x[rows[start:stop]], self.w_x, out=acts[start:stop])
             acts[start:stop] += self.bias
-        h = c = np.zeros((len(self.steps[0]), hid))
-        for rows in self.steps:
-            k = len(rows)
-            z = acts[rows] + h[:k] @ w_h
-            a = scale * np.tanh(scale * z) + shift
-            i, f, o, g = a.reshape(k, 4, hid).swapaxes(0, 1)
-            c = f * c[:k] + i * g
-            h = o * np.tanh(c)
-            self.hs[rows] = h
-            if cs is not None:
-                acts[rows], cs[rows] = a, c
-        self.w_x = self.w_h = self.bias = None
+        states = acts[:, :hid] if cs is None else self.h
+        # h and c: the states before step 0, zero; then step t's, of which step t + 1 reads a prefix.
+        h, c = np.zeros((2, self.offsets[1], hid))
+        recurrent = np.empty((self.offsets[1], 4 * hid))
+        for a, b in itertools.pairwise(self.offsets):
+            k = b - a
+            z = acts[a:b]
+            z += np.matmul(h[:k], w_h, out=recurrent[:k])
+            z *= scale
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            i, f, o, g = (z[:, j * hid : (j + 1) * hid] for j in range(4))
+            h, c_t = states[a:b], c[:k] if cs is None else cs[a:b]
+            np.multiply(i, g, out=h)  # h holds i * g until c is done; under no_grad h is i
+            np.multiply(f, c[:k], out=c_t)
+            c_t += h
+            np.tanh(c_t, out=h)
+            h *= o
+            c = c_t
+        self.hs[rows] = states
+        self.h = self.w_x = self.w_h = self.bias = None
 
     def backward_arrays(self) -> tuple[np.ndarray, ...]:
-        """Stack the weights again; return empty dx, dw_x, dw_h and db for ``backward`` to fill."""
+        """Stack the weights again; return empty dz, dx, dw_x, dw_h and db for ``backward`` to fill."""
         self.w_x, self.w_h = _stacked(self.cell.w_x), _stacked(self.cell.w_h)
-        (d, width), hid = self.w_x.shape, self.cell.hidden
-        return np.empty((len(self.x), d)), np.empty((d, width)), np.empty((hid, width)), np.empty((1, width))
+        (d, width), hid, n = self.w_x.shape, self.cell.hidden, len(self.x)
+        return tuple(np.empty(shape) for shape in ((n, width), (n, d), (d, width), (hid, width), (1, width)))
 
-    def backward(self, grad, dx, dw_x, dw_h, db) -> tuple:
+    def backward(self, grad, dz, dx, dw_x, dw_h, db) -> tuple:
         """BPTT for the gradient [n, hidden] of hs: dx, then the 12 per-gate gradients in parameters() order.
 
-        Runs once: the pass overwrites its gate values with the pre-activations' gradients, then drops them.
+        dz receives the pre-activations' gradients in packed row order.  Runs once: the pass
+        overwrites its gate values with those gradients, then drops them.
         """
-        hid, dz, cs, scale, direction = self.cell.hidden, self.acts, self.cs, self.scale, self.direction
-        shift, top = 1.0 - scale, scale * scale
-        dh_next, dc_next = np.zeros((2, len(self.steps[0]), hid))
-        for t in range(len(self.steps) - 1, -1, -1):
-            rows = self.steps[t]
-            k = len(rows)
-            a, tanh_c = dz[rows], np.tanh(cs[rows])
-            # The state before each step: the previous row's in run order, zero at a sequence's first step.
-            c_prev = cs[rows - direction] if t else np.zeros((k, hid))
-            i, f, o, g = a.reshape(k, 4, hid).swapaxes(0, 1)
-            dh = grad[rows] + dh_next[:k]
-            dc = dh * (o * (1.0 - tanh_c**2)) + dc_next[:k]
-            # d(activation)/d(pre-activation), a(1 - a) for i, f, o and 1 - g^2 for g, times dc or dh times a factor.
-            dz_t = (top - (a - shift) ** 2) * (np.hstack([dc, dc, dh, dc]) * np.hstack([g, c_prev, tanh_c, i]))
-            dz[rows] = dz_t
-            dh_next[:k], dc_next[:k] = dz_t @ self.w_h.T, dc * f
-        h_prev = cs  # the cell states are spent: hold the hidden states before each row, as c_prev above
-        if direction == 1:
+        self._walk_back(grad)  # its views of acts end with it, so acts goes before the products below
+        dz[self.rows] = self.acts
+        hid, h_prev = self.cell.hidden, self.cs  # the cell states are spent: hold the hidden states before each row
+        self.acts = self.cs = None
+        if self.direction == 1:
             h_prev[1:] = self.hs[:-1]
         else:
             h_prev[:-1] = self.hs[1:]
-        h_prev[self.steps[0]] = 0.0
+        h_prev[self.rows[: self.offsets[1]]] = 0.0  # each sequence's first row in run order
         np.matmul(self.x.T, dz, out=dw_x)
         np.matmul(h_prev.T, dz, out=dw_h)
         np.sum(dz, axis=0, keepdims=True, out=db)
         np.matmul(dz, self.w_x.T, out=dx)
-        self.acts = self.cs = self.w_x = self.w_h = None
+        self.w_x = self.w_h = None
         return (dx, *(d[:, k * hid : (k + 1) * hid] for k in range(4) for d in (dw_x, dw_h, db)))
+
+    def _walk_back(self, grad) -> None:
+        """Overwrite the gate values in acts with the pre-activations' gradients, step by step in reverse."""
+        hid, acts, cs, offsets, rows, scale = self.cell.hidden, self.acts, self.cs, self.offsets, self.rows, self.scale
+        shift, top, w_h_t = 1.0 - scale, scale * scale, self.w_h.T
+        # dh_next and dc_next carry the gradients to the states before a step, zero past a sequence's end;
+        # c_prev is zero before step 0.
+        dh_next, dc_next, dh, dc, tanh_c, zeros = np.zeros((6, offsets[1], hid))
+        products = np.empty((offsets[1], 4 * hid))
+        for t in range(len(offsets) - 2, -1, -1):
+            a, b = offsets[t], offsets[t + 1]
+            k, z = b - a, acts[a:b]
+            i, f, o, g = (z[:, j * hid : (j + 1) * hid] for j in range(4))
+            c_prev = cs[offsets[t - 1] : offsets[t - 1] + k] if t else zeros[:k]
+            tc, dh_t, dc_t, p = tanh_c[:k], dh[:k], dc[:k], products[:k]
+            np.tanh(cs[a:b], out=tc)
+            np.add(grad[rows[a:b]], dh_next[:k], out=dh_t)
+            np.multiply(tc, tc, out=dc_t)  # dc = dh * o * (1 - tanh(c)^2) + dc_next
+            np.subtract(1.0, dc_t, out=dc_t)
+            dc_t *= o
+            dc_t *= dh_t
+            dc_t += dc_next[:k]
+            for j, (left, right) in enumerate(((dc_t, g), (dc_t, c_prev), (dh_t, tc), (dc_t, i))):
+                np.multiply(left, right, out=p[:, j * hid : (j + 1) * hid])
+            np.multiply(dc_t, f, out=dc_next[:k])  # before z, of which f is a view, turns into dz
+            # d(activation)/d(pre-activation), a(1 - a) for i, f, o and 1 - g^2 for g, times the products.
+            z -= shift
+            z *= z
+            np.subtract(top, z, out=z)
+            z *= p
+            np.matmul(z, w_h_t, out=dh_next[:k])
 
 
 def _segment_bounds(x: Tensor, lengths=None) -> list[int]:

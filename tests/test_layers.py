@@ -1,6 +1,5 @@
 """Layer tests: embeddings, Bi-LSTM, batch norm, GCN, pooling, init."""
 
-import inspect
 import math
 import os
 import signal
@@ -88,6 +87,33 @@ def _cell_outputs_and_grads(run, cell, x_data, cotangent):
     return [out.data, x.grad] + [p.grad for _, p in cell.parameters()]
 
 
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal shapes and bytes: unlike np.array_equal, a zero's sign counts, and so does a NaN."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# Ragged batches: ties, one-row sequences, and more rows than one projection block.
+RAGGED = ([1], [5, 5, 1, 5], [1, 40, 7, 40, 1, 300, 3, 7, 1])
+
+
+def _watch_pass_arrays(monkeypatch) -> list:
+    """Weak references to the n-row arrays of each _CellPass built: acts, cs, the recorded states and the packed dz."""
+    held, build, arrays = [], layers._CellPass.__init__, layers._CellPass.backward_arrays
+
+    def watched_build(walk, *args):
+        build(walk, *args)
+        held.extend(weakref.ref(arr) for arr in (walk.acts, walk.cs, walk.h))
+
+    def watched_arrays(walk):
+        dz, *rest = arrays(walk)
+        held.append(weakref.ref(dz))
+        return dz, *rest
+
+    monkeypatch.setattr(layers._CellPass, "__init__", watched_build)
+    monkeypatch.setattr(layers._CellPass, "backward_arrays", watched_arrays)
+    return held
+
+
 class TestLstmCell:
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
     @pytest.mark.parametrize("n", [1, 2, 23, 41])
@@ -169,6 +195,29 @@ class TestLstmCell:
         with pytest.raises(ShapeError):
             cell.run(Tensor(np.ones((5, 2))), lengths=lengths)
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_walks_give_the_packed_row_oracles_bits(self, monkeypatch, reverse):
+        # The oracle tests above allow rounding; the packed-row walk is the earlier design, bit for bit.
+        rng, walks = np.random.default_rng(31 + reverse), (layers._CellPass, reference_lstm.PackedRowPass)
+        for lengths in RAGGED:
+            cell = LstmCell(6, 5, rng, name="cell")
+            for gate in LstmCell.GATES:
+                cell.bias[gate].data[...] = rng.normal(size=(1, 5))
+            x, cot = rng.normal(size=(sum(lengths), 6)), rng.normal(size=(sum(lengths), 5))
+
+            def run(t):
+                return cell.run(t, reverse=reverse, lengths=lengths)
+
+            results = []
+            for walk in walks:
+                monkeypatch.setattr(layers, "_CellPass", walk)
+                with T.no_grad():
+                    predicted = run(Tensor(x)).data
+                results.append([*_cell_outputs_and_grads(run, cell, x, cot), predicted])
+            assert len(results[0]) == 15
+            for got, want in zip(*results):
+                assert _same_bits(got, want)
+
     def test_run_is_one_tape_op(self):
         rng = np.random.default_rng(3)
         cell = LstmCell(4, 3, rng, name="cell")
@@ -177,16 +226,14 @@ class TestLstmCell:
         assert out.shape == (6, 3)
         assert out._parents == (x, *(p for _, p in cell.parameters()))
 
-    def test_backward_frees_the_arrays_only_the_rule_held(self):
+    def test_backward_frees_the_arrays_only_the_rule_held(self, monkeypatch):
+        held = _watch_pass_arrays(monkeypatch)
         rng = np.random.default_rng(3)
         cell = LstmCell(4, 3, rng, name="cell")
         out = cell.run(rand_tensor(rng, (6, 4)), lengths=[2, 4])
-        walk = inspect.getclosurevars(out._backward).nonlocals["walk"]
-        acts, cs = weakref.ref(walk.acts), weakref.ref(walk.cs)
-        del walk
         loss = sum_all(mul(out, out))
         backward(loss)
-        assert acts() is None and cs() is None
+        assert len(held) == 4 and all(ref() is None for ref in held)
         assert all(p.grad is not None for _, p in cell.parameters())
         with pytest.raises(GraphError):
             backward(loss)
@@ -296,6 +343,30 @@ class TestBiLstm:
         assert [id(p) for p in got] == [id(p) for p in by_name] == [id(p) for p in by_cell]
 
     @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+    def test_prediction_peak_is_acts_the_output_and_a_projection_block(self, monkeypatch, parallel):
+        # Under no_grad a walk's states overwrite its spent input-gate columns: the peak is each running
+        # walk's acts [n, 4h] and projection block, the [n, 2h] output, and less than half an [n, h] array
+        # per walk for the row map, the weights and one step's buffers.  That excess read 0.33-0.36 of an
+        # [n, h] array per walk; the packed-row walk's read 0.50-0.56, and a walk keeping its own [n, h]
+        # states would read 1.3 or more.
+        monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0 if parallel else math.inf)
+        rng = np.random.default_rng(41)
+        d, hidden, lengths = 8, 32, [90, 1, 60, 90, 33, 1, 7, 90] * 4
+        n, walks = sum(lengths), 2 if parallel else 1
+        net = BiLstm(input_dim=d, hidden=hidden, layers=1, dropout=0.0, rng=rng)
+        x = Tensor(rng.normal(size=(n, d)))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                net(x, lengths=lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        acts, out, state = n * 4 * hidden * 8, n * 2 * hidden * 8, n * hidden * 8
+        block = layers.PROJECTION_ROWS * d * 8
+        assert peak < walks * (acts + block + state / 2) + out
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
     def test_gradients_match_finite_differences(self, monkeypatch, parallel):
         monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0 if parallel else math.inf)
         rng = np.random.default_rng(19)
@@ -355,6 +426,20 @@ class TestParallelLayer:
             for whole, blocked in zip(*results):
                 np.testing.assert_array_equal(blocked, whole)
 
+    @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+    def test_walks_give_the_packed_row_oracles_bits(self, monkeypatch, parallel):
+        monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0 if parallel else math.inf)
+        rng, walks = np.random.default_rng(37), (layers._CellPass, reference_lstm.PackedRowPass)
+        for lengths in RAGGED:
+            net = BiLstm(input_dim=5, hidden=4, layers=2, dropout=0.5, rng=rng)
+            x, cot = rng.normal(size=(sum(lengths), 5)), rng.normal(size=(sum(lengths), 8))
+            results = []
+            for walk in walks:
+                monkeypatch.setattr(layers, "_CellPass", walk)
+                results.append(_bilstm_results(net, x, lengths, cot))
+            for got, want in zip(*results):
+                assert _same_bits(got, want)
+
     def test_a_layer_is_one_tape_op(self, monkeypatch):
         monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0)
         net, x, lengths, _ = self._net_and_batch(depth=1, dropout=0.0)
@@ -365,14 +450,12 @@ class TestParallelLayer:
 
     def test_backward_frees_the_arrays_only_the_rule_held(self, monkeypatch):
         monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0)
+        held = _watch_pass_arrays(monkeypatch)
         net, x, lengths, _ = self._net_and_batch(depth=1, dropout=0.0)
         out = net(Tensor(x), lengths=lengths)
-        walks = inspect.getclosurevars(out._backward).nonlocals["walks"]
-        held = [weakref.ref(arr) for walk in walks for arr in (walk.acts, walk.cs)]
-        del walks
         loss = sum_all(mul(out, out))
         backward(loss)
-        assert all(ref() is None for ref in held)
+        assert len(held) == 2 * 4 and all(ref() is None for ref in held)
         assert all(p.grad is not None for _, p in net.parameters())
         with pytest.raises(GraphError):
             backward(loss)
