@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -73,35 +74,35 @@ class Record:
         return len(self.tokens)
 
     def validate(self, classes: int | None = None, where: str = "record") -> None:
-        n = len(self.tokens)
+        tokens, heads, bounds = self.tokens, self.heads, self.sent_bounds
+        if not _sequence(tokens) or not all(isinstance(t, str) for t in tokens):
+            raise CorpusError(f"{where}: tokens must be a sequence of strings, got {tokens!r:.60}")
+        n = len(tokens)
         if n < 1:
             raise CorpusError(f"{where}: empty token list")
-        if not all(isinstance(t, str) for t in self.tokens):
-            i = next(i for i, t in enumerate(self.tokens) if not isinstance(t, str))
-            raise CorpusError(f"{where}: tokens must be a list of strings, token {i} is {self.tokens[i]!r:.60}")
-        if len(self.heads) != n:
-            raise CorpusError(f"{where}: {len(self.heads)} heads for {n} tokens")
-        if not set(map(type, self.heads)) <= {int}:  # exact ints: a bool or float is rejected
-            raise CorpusError(f"{where}: heads must be integers, got {self.heads!r:.60}")
-        if not all(isinstance(s, tuple) and len(s) == 2 and set(map(type, s)) <= {int} for s in self.sent_bounds):
-            raise CorpusError(f"{where}: sentence spans must be integer pairs, got {self.sent_bounds!r:.60}")
+        if not _sequence(heads) or not set(map(type, heads)) <= {int}:  # exact ints: a bool or float is rejected
+            raise CorpusError(f"{where}: heads must be a sequence of integers, got {heads!r:.60}")
+        if len(heads) != n:
+            raise CorpusError(f"{where}: {len(heads)} heads for {n} tokens")
+        if not _sequence(bounds) or not all(isinstance(s, tuple) and len(s) == 2 and set(map(type, s)) <= {int}
+                                            for s in bounds):
+            raise CorpusError(f"{where}: sent_bounds must be a sequence of integer pairs, got {bounds!r:.60}")
         pos = 0
-        for start, stop in self.sent_bounds:
+        for start, stop in bounds:
             if start != pos or stop <= start:
                 raise CorpusError(f"{where}: sentence spans must be contiguous and non-empty")
             pos = stop
         if pos != n:
             raise CorpusError(f"{where}: sentence spans cover {pos} of {n} tokens")
-        for start, stop in self.sent_bounds:
+        for start, stop in bounds:
             for t in range(start, stop):
-                if not 0 <= self.heads[t] <= stop - start:
+                if not 0 <= heads[t] <= stop - start:
                     raise CorpusError(
-                        f"{where}: head {self.heads[t]} of token {t} outside its "
-                        f"{stop - start}-token sentence"
+                        f"{where}: head {heads[t]} of token {t} outside its {stop - start}-token sentence"
                     )
-                if self.heads[t] == t - start + 1:
+                if heads[t] == t - start + 1:
                     raise CorpusError(f"{where}: token {t} is its own head")
-            if 0 not in self.heads[start:stop]:
+            if 0 not in heads[start:stop]:
                 raise CorpusError(f"{where}: sentence [{start}, {stop}) has no root")
         if self.label is not None and type(self.label) is not int:
             raise CorpusError(f"{where}: label must be an integer, got {self.label!r:.60}")
@@ -113,29 +114,21 @@ class Record:
 class LoadReport:
     """Bookkeeping from one load_corpus call."""
 
-    path: str
-    records: int = 0
     truncated: int = 0
 
 
-def _parse_label(value, classes: int, where: str) -> int:
-    """A label's class id: an integer as given, or a name's index in ``label_names(classes)``."""
-    if isinstance(value, str):
-        names = label_names(classes)
-        if value not in names:
-            raise CorpusError(f"{where}: label {value!r} is not one of {', '.join(names)}")
-        return names.index(value)
-    if type(value) is int:  # not a bool
-        return value
-    raise CorpusError(f"{where}: label must be an integer or name")
+def _sequence(value) -> bool:
+    """Whether a record field holds a sequence; a str never counts, though Python calls it one.
+
+    Tuples and lists skip the abstract-class check, whose three calls would add about a third to
+    validate's time on a 6-token record.
+    """
+    return isinstance(value, (tuple, list)) or isinstance(value, Sequence) and not isinstance(value, str)
 
 
-def _int_list(value, what: str, where: str, length: int | None = None) -> list[int]:
-    """``value`` if it is a list of JSON integers (``length`` of them, if given)."""
-    if isinstance(value, list) and length in (None, len(value)) and set(map(type, value)) <= {int}:
-        return value
-    count = f"{length} " if length else ""
-    raise CorpusError(f"{where}: {what} must be a list of {count}integers, got {json.dumps(value)[:60]}")
+def _tuple(value):
+    """A JSON array as a tuple; any other value as it is, for Record.validate to judge."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _truncate(record: Record, max_len: int) -> Record:
@@ -159,13 +152,15 @@ def load_corpus(
 
     ``schema`` is "train" (label required) or "eval" (label optional,
     e.g. for prediction inputs); ``classes=None`` reads no labels at all.
+    Each line's JSON and label name are checked as it is read; its fields,
+    with JSON arrays as tuples, are checked by check_records once every
+    line has parsed, so a field's error reads as it would for a Record.
     Returns the records in file order plus a LoadReport counting truncations.
     """
     if schema not in ("train", "eval"):
         raise ValueError(f"unknown schema {schema!r}")
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
-    report = LoadReport(path=str(path))
     records: list[Record] = []
     line_nos: list[int] = []
     with open(path, "rb") as fh:
@@ -176,31 +171,28 @@ def load_corpus(
             raw = parse_json(line, CorpusError, where)
             if not isinstance(raw, dict) or "tokens" not in raw or "heads" not in raw:
                 raise CorpusError(f"{where}: record needs tokens and heads fields")
-            tokens = raw["tokens"]
-            if not isinstance(tokens, list):
-                raise CorpusError(f"{where}: tokens must be a list of strings, got {json.dumps(tokens)[:60]}")
-            heads = _int_list(raw["heads"], "heads", where)
-            spans = raw.get("sent_bounds", [])
-            if not isinstance(spans, list):
-                raise CorpusError(f"{where}: sent_bounds must be a list of [start, stop] pairs")
-            bounds = [tuple(_int_list(span, "a sent_bounds span", where, 2)) for span in spans]
-            bounds = bounds or [(0, len(tokens))]
+            tokens, spans = _tuple(raw["tokens"]), raw.get("sent_bounds", [])
+            bounds = tuple(map(_tuple, spans)) if isinstance(spans, list) else spans
+            if bounds == () and isinstance(tokens, tuple):
+                bounds = ((0, len(tokens)),)
             label = None if classes is None else raw.get("label")
-            if label is not None:
-                label = _parse_label(label, classes, where)
-            elif schema == "train" and classes is not None:
+            if isinstance(label, str):
+                names = label_names(classes)
+                if label not in names:
+                    raise CorpusError(f"{where}: label {label!r} is not one of {', '.join(names)}")
+                label = names.index(label)
+            elif label is None and schema == "train" and classes is not None:
                 raise CorpusError(f"{where}: label required under train schema")
-            records.append(Record(tuple(tokens), tuple(bounds), tuple(heads), label))
+            records.append(Record(tokens, bounds, _tuple(raw["heads"]), label))
             line_nos.append(line_no)
     check_records(records, lambda i: f"{path}: line {line_nos[i]}", classes)
-    report.records = len(records)
-    report.truncated = sum(len(rec) > max_len for rec in records)
+    report = LoadReport(truncated=sum(len(rec) > max_len for rec in records))
     return [_truncate(rec, max_len) if len(rec) > max_len else rec for rec in records], report
 
 
 def check_records(records, where=lambda i: f"record {i}", classes=None, max_len=None) -> None:
-    """Raise a CorpusError naming ``where(i)`` for the first record that fails ``validate(classes)``,
-    has over ``max_len`` tokens, or has a head cycle.
+    """Raise a CorpusError naming ``where(i)`` for the first entry that is not a Record, fails
+    ``validate(classes)``, has over ``max_len`` tokens, or has a head cycle.
 
     Cycles take one NumPy pass over all records: every token points to its head's index in the
     flattened corpus, and every root to a sentinel that points to itself.  Each ``p = p[p]`` doubles
@@ -208,6 +200,8 @@ def check_records(records, where=lambda i: f"record {i}", classes=None, max_len=
     points to the sentinel; one that does not lies on or under a cycle, and points to a token on it.
     """
     for i, rec in enumerate(records):
+        if not isinstance(rec, Record):
+            raise CorpusError(f"{where(i)}: expected a Record, got {type(rec).__name__}")
         rec.validate(classes, where(i))
         if max_len is not None and len(rec) > max_len:
             raise CorpusError(f"{where(i)}: {len(rec)} tokens exceed max_len {max_len}")

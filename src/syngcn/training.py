@@ -38,7 +38,6 @@ from .layers import (
     LstmCell,
     average_pool,
     on_two_threads,
-    orthogonal_init,
     percentile_pool,
 )
 from .metrics import EvalReport, evaluate
@@ -445,10 +444,10 @@ def train(
     if not train_records or not dev_records:
         raise ConfigError("training and dev corpora must be non-empty")
     records = train_records + dev_records
+    check_records(records, classes=config.classes, max_len=config.max_len)
     for i, rec in enumerate(records):
         if rec.label is None:
             raise ConfigError(f"record {i} has no label")
-    check_records(records, classes=config.classes, max_len=config.max_len)
 
     vocab = build_vocab(train_records, min_count=config.min_count)
     rng = np.random.default_rng(config.seed)

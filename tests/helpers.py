@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import strategies as st
 
-from syngcn.corpus import EMOTION_NAMES, POLARITY_NAMES
+from syngcn.corpus import EMOTION_NAMES, POLARITY_NAMES, Record
 from syngcn.tensor import Tensor
 
 # Every class name of both sets; a JSON scalar of any type, the names included; nested lists of them.
@@ -19,6 +21,27 @@ CORPUS_ROWS = st.dictionaries(st.sampled_from(["tokens", "heads", "sent_bounds",
     lambda tokens, label: {"tokens": tokens, "heads": [0] + [1] * (len(tokens) - 1), "label": label},
     st.lists(st.text(max_size=3), min_size=1, max_size=6),
     _NAMES | _LEAVES,
+)
+
+# Python values of any type, nested in lists, tuples and dicts, for the fields of an in-memory Record.
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=10,
+)
+# A valid one-sentence star-tree Record (every token headed by the first).
+_STAR = st.lists(st.text(max_size=3), min_size=1, max_size=4).map(
+    lambda t: Record(tuple(t), ((0, len(t)),), (0,) + (1,) * (len(t) - 1), 0)
+)
+# One entry of an in-memory record list: a star tree, one with a field swapped for any value, a
+# Record whose four fields hold any values, or any value that is no Record at all.
+RECORD_ENTRIES = st.one_of(
+    _STAR,
+    st.builds(lambda rec, name, value: replace(rec, **{name: value}),
+              _STAR, st.sampled_from(["tokens", "sent_bounds", "heads", "label"]), _VALUES),
+    st.builds(Record, _VALUES, _VALUES, _VALUES, _VALUES),
+    _VALUES,
 )
 
 # JSON values of every type but a bare integer, for the typed fields of configs and checkpoint headers.

@@ -51,7 +51,7 @@ class TestLoadCorpus:
         path.write_text("")
         records, report = load_corpus(path)
         assert records == []
-        assert report.records == 0
+        assert report.truncated == 0
 
     def test_three_token_record(self, tmp_path):
         path = tmp_path / "one.jsonl"
@@ -169,12 +169,12 @@ class TestLoadCorpus:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"heads": ["x", 0]}, "heads must be a list of integers"),
-            ({"heads": 3}, "heads must be a list of integers"),
-            ({"sent_bounds": [[0]]}, "sent_bounds span must be a list of 2 integers"),
-            ({"sent_bounds": 5}, "sent_bounds must be a list"),
-            ({"tokens": "ab"}, "tokens must be a list"),
-            ({"tokens": [None, [1, 2], {"a": 1}], "heads": [0, 1, 1]}, "tokens must be a list of strings"),
+            ({"heads": ["x", 0]}, "heads must be a sequence of integers"),
+            ({"heads": 3}, "heads must be a sequence of integers"),
+            ({"sent_bounds": [[0]]}, "sent_bounds must be a sequence of integer pairs"),
+            ({"sent_bounds": 5}, "sent_bounds must be a sequence of integer pairs"),
+            ({"tokens": "ab"}, "tokens must be a sequence of strings"),
+            ({"tokens": [None, [1, 2], {"a": 1}], "heads": [0, 1, 1]}, "tokens must be a sequence of strings"),
             ({"heads": [0]}, "1 heads for 2 tokens"),
             ({"sent_bounds": [[0, 1]]}, "sentence spans cover 1 of 2 tokens"),
         ],
@@ -430,17 +430,21 @@ class TestCheckRecords:
     @pytest.mark.parametrize(
         "record, message",
         [
-            (Record(("a",), ((0, 1),), (1.0,), 0), "heads must be integers, got (1.0,)"),
-            (Record(("a",), ((0, 1),), (False,), 0), "heads must be integers, got (False,)"),
-            (Record(("a",), ((0, 1),), ("0",), 0), "heads must be integers, got ('0',)"),
-            (Record(("a",), ((0,),), (0,), 0), "sentence spans must be integer pairs, got ((0,),)"),
-            (Record(("a",), ((0, 1.0),), (0,), 0), "sentence spans must be integer pairs, got ((0, 1.0),)"),
-            (Record(("a",), ([0, 1],), (0,), 0), "sentence spans must be integer pairs, got ([0, 1],)"),
+            (Record(("a",), ((0, 1),), (1.0,), 0), "heads must be a sequence of integers, got (1.0,)"),
+            (Record(("a",), ((0, 1),), (False,), 0), "heads must be a sequence of integers, got (False,)"),
+            (Record(("a",), ((0, 1),), ("0",), 0), "heads must be a sequence of integers, got ('0',)"),
+            (Record(("a",), ((0,),), (0,), 0), "sent_bounds must be a sequence of integer pairs, got ((0,),)"),
+            (Record(("a",), ((0, 1.0),), (0,), 0), "sent_bounds must be a sequence of integer pairs, got ((0, 1.0),)"),
+            (Record(("a",), ([0, 1],), (0,), 0), "sent_bounds must be a sequence of integer pairs, got ([0, 1],)"),
             (Record(("a",), ((0, 1),), (0,), 1.0), "label must be an integer, got 1.0"),
             (Record(("a",), ((0, 1),), (0,), True), "label must be an integer, got True"),
+            (Record("ab", ((0, 2),), (0, 1), 0), "tokens must be a sequence of strings, got 'ab'"),
+            (Record(("a",), ((0, 1),), 5, 0), "heads must be a sequence of integers, got 5"),
+            (Record(("a",), 5, (0,), 0), "sent_bounds must be a sequence of integer pairs, got 5"),
+            ({"tokens": ("a",), "sent_bounds": ((0, 1),), "heads": (0,), "label": 0}, "expected a Record, got dict"),
         ],
         ids=["float-head", "bool-head", "str-head", "one-element-span", "float-bound", "list-span", "float-label",
-             "bool-label"],
+             "bool-label", "str-tokens", "int-heads", "int-spans", "dict-entry"],
     )
     def test_mistyped_in_memory_field_names_the_record(self, record, message):
         with pytest.raises(CorpusError, match=f"^record 0: {re.escape(message)}$"):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from syngcn import layers, training
 from syngcn import tensor as T
-from syngcn.corpus import CorpusError, Record, Vocabulary, build_vocab
+from syngcn.corpus import CorpusError, Record, Vocabulary, build_vocab, check_records
 from syngcn.layers import orthogonal_init
 from syngcn.synthetic import class_word_corpus
 from syngcn.tensor import Tensor, backward, mul, softmax_cross_entropy, sum_all
@@ -48,7 +48,7 @@ from syngcn.training import (
 
 import reference_tail
 from reference_adam import ReferenceAdam
-from helpers import WRONG_TYPES, check_gradients
+from helpers import RECORD_ENTRIES, WRONG_TYPES, check_gradients
 
 
 class TestTrainConfig:
@@ -576,12 +576,12 @@ class TestTrainLoop:
             (Record(("a", "b", "c"), ((0, 3),), (0, 3, 2), 0), "heads form a cycle through token 1"),
             (Record(tuple("abcde"), ((0, 2), (2, 5)), (0, 1, 0, 3, 2), 0), "heads form a cycle through token 3"),
             # Before, train() took integer tokens and saved a vocabulary load_checkpoint refuses.
-            (Record((1, 2), ((0, 2),), (0, 1), 0), "tokens must be a list of strings, token 0 is 1"),
+            (Record((1, 2), ((0, 2),), (0, 1), 0), "tokens must be a sequence of strings, got (1, 2)"),
             (Record(("w",) * 21, ((0, 21),), (0,) + (1,) * 20, 0), "21 tokens exceed max_len 20"),
-            (Record(("a", "b"), ((0, 2),), (0, 1.0), 0), "heads must be integers, got (0, 1.0)"),
+            (Record(("a", "b"), ((0, 2),), (0, 1.0), 0), "heads must be a sequence of integers, got (0, 1.0)"),
             (Record(("a", "b"), ((0, 2),), (0, 1), 1.0), "label must be an integer, got 1.0"),
-            (Record(("a", "b"), ((0, 2),), ("0", 1), 0), "heads must be integers, got ('0', 1)"),
-            (Record(("a", "b"), ((0,),), (0, 1), 0), "sentence spans must be integer pairs, got ((0,),)"),
+            (Record(("a", "b"), ((0, 2),), ("0", 1), 0), "heads must be a sequence of integers, got ('0', 1)"),
+            (Record(("a", "b"), ((0,),), (0, 1), 0), "sent_bounds must be a sequence of integer pairs, got ((0,),)"),
         ],
         ids=["cycle", "cycle-after-a-valid-sentence", "non-string-token", "over-long", "float-head", "float-label",
              "str-head", "one-element-span"],
@@ -723,8 +723,8 @@ class TestModelForward:
             (Record(("a",), ((0, 1),), (5,), None), "head 5 of token 0 outside its 1-token sentence"),
             (Record(("a", "b", "c"), ((0, 3),), (0, 3, 2), None), "heads form a cycle through token 1"),
             (Record(("a", "b"), ((0, 2),), (0, -1), None), "head -1 of token 1 outside its 2-token sentence"),
-            (Record(("a", "b"), ((0, 2),), (0, 1.0), None), "heads must be integers, got (0, 1.0)"),
-            (Record(("a", "b"), ((0, 2),), (0, True), None), "heads must be integers, got (0, True)"),
+            (Record(("a", "b"), ((0, 2),), (0, 1.0), None), "heads must be a sequence of integers, got (0, 1.0)"),
+            (Record(("a", "b"), ((0, 2),), (0, True), None), "heads must be a sequence of integers, got (0, True)"),
             (Record(("w",) * 25, ((0, 25),), (0,) + (1,) * 24, None), "25 tokens exceed max_len 20"),
         ],
         ids=["head-out-of-range", "cycle", "negative-head", "float-head", "bool-head", "over-long"],
@@ -749,6 +749,24 @@ class TestModelForward:
         model = Model(tiny_config(), build_vocab(tiny_corpus[0]))
         with pytest.raises(CorpusError, match=f"^record: {re.escape(message)}$"):
             model.encode(bad)
+
+    @settings(max_examples=200)
+    @given(st.lists(RECORD_ENTRIES, min_size=1, max_size=3))
+    def test_any_in_memory_records_pass_or_name_the_record(self, tiny_corpus, entries):
+        # Before, heads=5 or sent_bounds=5 escaped as a TypeError, a dict entry as an AttributeError.
+        config = tiny_config(embedding_size=4, hidden_neurons=4, epochs=1)
+        model = Model(config, build_vocab(tiny_corpus[0]))
+        for call, count in (
+            (lambda: check_records(entries), len(entries)),
+            (lambda: model.predict(entries), len(entries)),
+            (lambda: train(config, entries, entries), 2 * len(entries)),
+        ):
+            try:
+                call()
+            except CorpusError as exc:
+                assert int(re.match(r"record (\d+): ", str(exc))[1]) < count, exc
+            except ConfigError as exc:
+                assert re.fullmatch(r"record (\d+) has no label", str(exc)), exc
 
     @pytest.mark.parametrize("batch_norm", [True, False], ids=["norm", "no_norm"])
     @pytest.mark.parametrize("pooling", ["percentile", "average", "fc"])
