@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -327,6 +328,18 @@ class TestAdam:
         assert w.data is not held
         np.testing.assert_array_equal(held, before)
         assert not np.array_equal(w.data, before)
+
+    def test_step_writes_into_an_array_only_its_parameter_holds(self):
+        # Unheld, an array takes its update in place, the bits a new array gets; a view of it keeps it from that.
+        alone, viewed = (Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True) for _ in range(2))
+        opt = Adam([("alone", alone), ("viewed", viewed)], lr=0.1, weight_decay=0.5)
+        ref, view = weakref.ref(alone.data), viewed.data[:2]
+        kept = view.copy()
+        alone.grad = viewed.grad = np.array([0.5, -0.5, 0.25])
+        opt.step()
+        assert alone.data is ref() and viewed.data is not view.base
+        np.testing.assert_array_equal(view, kept)
+        assert alone.data.tobytes() == viewed.data.tobytes()
 
     # (name, shape, has a gradient): rows that do not divide into blocks, a 1-D run of
     # several blocks, rows each wider than a block, and a multi-block parameter with no gradient.
