@@ -91,13 +91,16 @@ class LstmCell:
             yield f"{self.name}.{gate}.w_h", self.w_h[gate]
             yield f"{self.name}.{gate}.bias", self.bias[gate]
 
-    def run(self, x: Tensor, reverse: bool = False, lengths=None) -> Tensor:
+    def run(self, x: Tensor, reverse: bool = False, lengths=None, schedule: _Schedule | None = None) -> Tensor:
         """Hidden states [n, hidden] for the rows of x [n, input_dim], in row order.
 
         ``lengths`` splits the rows into consecutive sequences (default: one),
-        each run from a zero state, back to front if ``reverse``.
+        each run from a zero state, back to front if ``reverse``.  ``BiLstm``
+        passes the ``schedule`` it built once for all its walks over x in place
+        of ``lengths``.
         """
-        walk = _CellPass(self, x.data, _segment_bounds(x, lengths), reverse, np.empty((x.shape[0], self.hidden)))
+        schedule = _Schedule(_segment_bounds(x, lengths)) if schedule is None else schedule
+        walk = _CellPass(self, x.data, schedule, reverse, np.empty((x.shape[0], self.hidden)))
         walk.forward()
 
         def rule(grad):
@@ -108,16 +111,42 @@ class LstmCell:
 
 def _stacked(weights: dict[str, Tensor]) -> np.ndarray:
     """One weight set of a cell with its gates side by side, in GATES order."""
-    return np.hstack([weights[gate].data for gate in LstmCell.GATES])
+    return np.concatenate([weights[gate].data for gate in LstmCell.GATES], axis=1)
+
+
+class _Schedule:
+    """The time-major order of a batch's packed sequences, which every walk over the batch shares.
+
+    Longest sequence first, so the k_t sequences running at step t are a prefix of that
+    order and step t + 1's rows continue the first k_{t+1} of step t's; step t's rows are
+    the slice ``offsets[t]:offsets[t + 1]``.  ``rows`` maps each time-major row to its
+    packed row walking forward; ``reverse_rows`` starts at each sequence's last row and
+    walks back.
+    """
+
+    def __init__(self, bounds: list[int]):
+        self.bounds = bounds
+        sizes = np.diff(bounds)
+        order = np.argsort(-sizes, kind="stable")
+        sizes = sizes[order]
+        running = len(sizes) - np.searchsorted(sizes[::-1], np.arange(sizes[0]), side="right")  # k_t
+        offsets = np.concatenate([[0], np.cumsum(running)])
+        step = np.repeat(np.arange(len(running)), running)  # of each time-major row
+        rank = np.arange(bounds[-1]) - offsets[step]  # of its sequence, in that order
+        starts = np.asarray(bounds)
+        self.rows = starts[:-1][order][rank] + step
+        self.reverse_rows = (starts[1:] - 1)[order][rank] - step
+        self.offsets = offsets.tolist()
 
 
 class _CellPass:
     """One LstmCell's walks over packed sequences: the forward, then BPTT when a tape records the run.
 
-    Both walks are time-major (the ``batch_sizes`` layout of packed sequences): at step t
-    the k_t sequences still running advance together, longest first, and step t's rows of
-    ``acts``, ``cs`` and the recorded states are the one slice ``offsets[t]:offsets[t + 1]``;
-    ``rows`` maps each time-major row to its packed row.  The gate blocks sit side by side.
+    Both walks are time-major (the ``batch_sizes`` layout of packed sequences) in the
+    order of the batch's ``_Schedule``: at step t the k_t sequences still running advance
+    together, longest first, and step t's rows of ``acts``, ``cs`` and the recorded states
+    are the one slice ``offsets[t]:offsets[t + 1]``; ``rows`` maps each time-major row to
+    its packed row in the pass's direction.  The gate blocks sit side by side.
     The forward first fills acts with the input projections, each block of at most
     ``PROJECTION_ROWS`` rows gathering its rows of x in time-major order.  The blocks are
     near-equal, so a block has one row only when n does: NumPy multiplies one row with
@@ -140,7 +169,7 @@ class _CellPass:
     raised a paper-size training run's peak RSS by 1.1-5.3 % (three 15 s runs each).
     """
 
-    def __init__(self, cell: LstmCell, x: np.ndarray, bounds: list[int], reverse: bool, hs: np.ndarray):
+    def __init__(self, cell: LstmCell, x: np.ndarray, schedule: _Schedule, reverse: bool, hs: np.ndarray):
         self.cell, self.x, self.hs = cell, x, hs  # hs [n, hidden] receives the states, in packed order; may be a view
         n, hid = len(x), cell.hidden
         # The input projections, then (when recording) the gate values i, f, o, g: the forward fills it.
@@ -154,18 +183,8 @@ class _CellPass:
         # from 418.7-420.6 MB, two runs past 5 %: every recorded pass would hold its stacks until BPTT.
         self.w_x, self.w_h, self.bias = _stacked(cell.w_x), _stacked(cell.w_h), _stacked(cell.bias)
         self.scale = np.repeat([0.5, 0.5, 0.5, 1.0], hid)  # sigmoid for i, f, o; tanh for g
-        # Longest sequence first, so the k_t sequences running at step t are a prefix of that order
-        # and step t + 1's rows continue the first k_{t+1} of step t's.  A reverse run starts at
-        # each sequence's last row and walks back.
-        sizes = np.diff(bounds)
-        order = np.argsort(-sizes, kind="stable")
-        sizes, self.direction = sizes[order], -1 if reverse else 1
-        firsts = (np.asarray(bounds[1:]) - 1 if reverse else np.asarray(bounds[:-1]))[order]
-        running = len(sizes) - np.searchsorted(sizes[::-1], np.arange(sizes[0]), side="right")  # k_t
-        offsets = np.concatenate([[0], np.cumsum(running)])
-        step = np.repeat(np.arange(len(running)), running)  # of each time-major row
-        self.rows = firsts[np.arange(n) - offsets[step]] + self.direction * step
-        self.offsets = offsets.tolist()
+        self.direction = -1 if reverse else 1
+        self.rows, self.offsets = schedule.reverse_rows if reverse else schedule.rows, schedule.offsets
 
     def forward(self) -> None:
         """Project the inputs into acts; fill hs, and when recording the gate values (over acts) and cs."""
@@ -290,11 +309,11 @@ def _new_worker() -> None:
 os.register_at_fork(after_in_child=_new_worker)
 
 
-def _bilstm_layer(fwd: LstmCell, bwd: LstmCell, x: Tensor, bounds: list[int]) -> Tensor:
+def _bilstm_layer(fwd: LstmCell, bwd: LstmCell, x: Tensor, schedule: _Schedule) -> Tensor:
     """Both cells' states side by side, [n, 2 * hidden], as one tape op; bwd's walks run on the worker thread."""
     hid = fwd.hidden
     out = np.empty((x.shape[0], 2 * hid))
-    walks = _CellPass(fwd, x.data, bounds, False, out[:, :hid]), _CellPass(bwd, x.data, bounds, True, out[:, hid:])
+    walks = _CellPass(fwd, x.data, schedule, False, out[:, :hid]), _CellPass(bwd, x.data, schedule, True, out[:, hid:])
     on_two_threads(walks[0].forward, walks[1].forward)
 
     def rule(grad):
@@ -317,7 +336,8 @@ class BiLstm:
     least ``PARALLEL_MIN_STEP_WORK`` work per time step is one tape op that runs the backward
     cell on a worker thread while the calling thread runs the forward one, in both
     passes; a smaller layer is one op per cell and a concatenation.  Both give the
-    same bits.  Inverted dropout (training only) follows every layer; its masks are
+    same bits, and every walk of a call follows the one ``_Schedule`` it builds from
+    ``lengths``.  Inverted dropout (training only) follows every layer; its masks are
     drawn sequence by sequence, then layer by layer, as if each sequence ran on its own.
     """
 
@@ -356,15 +376,15 @@ class BiLstm:
         lengths = [x.shape[0]] if lengths is None else lengths
         keep = 1.0 - self.dropout if training else 1.0
         draws = [[rng.random((k, self.output_dim)) < keep for _ in self.cells] for k in lengths if keep < 1]
-        bounds = _segment_bounds(x, lengths)
-        sizes = np.diff(bounds)
-        parallel = sizes.sum() / sizes.max() * self.hidden**2 >= PARALLEL_MIN_STEP_WORK
+        schedule = _Schedule(_segment_bounds(x, lengths))  # every walk of every layer shares it
+        steps = len(schedule.offsets) - 1
+        parallel = x.shape[0] / steps * self.hidden**2 >= PARALLEL_MIN_STEP_WORK
         out = x
         for layer, (fwd, bwd) in enumerate(self.cells):
             if parallel:
-                out = _bilstm_layer(fwd, bwd, out, bounds)
+                out = _bilstm_layer(fwd, bwd, out, schedule)
             else:
-                out = T.concat([fwd.run(out, lengths=lengths), bwd.run(out, reverse=True, lengths=lengths)], axis=1)
+                out = T.concat([fwd.run(out, schedule=schedule), bwd.run(out, reverse=True, schedule=schedule)], axis=1)
             if draws:
                 out = out * Tensor(np.concatenate([d[layer] for d in draws]) / keep)
         return out

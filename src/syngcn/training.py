@@ -66,9 +66,10 @@ POOLING_MODES = ("percentile", "average", "fc")
 DEFAULT_SEED = 42
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and the update's denominator floor
 ADAM_BLOCK = 32768  # floats per slice of an Adam update: 256 KiB, so a slice's temporaries stay in cache
-# Floats from which Adam splits its slices between two threads.  On 2 cores (one BLAS thread) a split
-# step took 1.5-1.7x the one-thread time at 11 K floats, 1.0-1.1x at 32-48 K, 0.84-0.97x at 64-98 K and
-# 0.90-0.95x at 131 K: the cut leaves a 16/16 model (11,056 floats) on the calling thread.
+# Floats from which Adam splits its slices between two threads; below it, one flat update on the calling
+# thread.  On 2 cores (one BLAS thread) a split step took 1.5-1.7x the one-thread time at 11 K floats,
+# 1.0-1.1x at 32-48 K, 0.84-0.97x at 64-98 K and 0.90-0.95x at 131 K: the cut leaves a 16/16 model
+# (11,056 floats) on the calling thread.
 ADAM_PARALLEL_MIN = 4 * ADAM_BLOCK
 
 
@@ -296,7 +297,9 @@ def orthogonality_penalty(*weights: Tensor) -> Tensor:
     """
     ws = [w.data for w in weights]  # the rule runs once, before Adam's step, and backward then drops it
     tall = [w.shape[0] >= w.shape[1] for w in ws]
-    diffs = [(w.T @ w if t else w @ w.T) - np.eye(min(w.shape)) for w, t in zip(ws, tall)]
+    diffs = [w.T @ w if t else w @ w.T for w, t in zip(ws, tall)]
+    for d in diffs:  # minus I on the diagonal alone: the same bits as subtracting np.eye, since x - 0.0 == x
+        d.flat[:: len(d) + 1] -= 1.0
 
     def rule(g):
         return tuple(4.0 * g * (w @ d if t else d @ w) for w, t, d in zip(ws, tall, diffs))
@@ -336,16 +339,19 @@ def total_loss(
 class Adam:
     """Adam with decoupled weight decay; ``step`` writes into no array that anything but its parameter holds.
 
-    ``step`` walks each parameter in slices along axis 0 of about ``ADAM_BLOCK`` floats, so every temporary
-    of the update is one slice long and stays in cache.  In each slice it updates the moments ``m`` and ``v``
-    in place and writes ``p * decay - lr * m_hat / (sqrt(v_hat) + eps)``, in that operation order, into
-    ``p.data`` itself when that array owns its memory and only ``p`` holds it, else into a new array it binds
-    to ``p.data``.  (A new table-sized array every step left glibc to fit it among the step's other arrays:
-    paper-size training peaked at 418-422 or at 439-446 MB from run to run, 15 s runs on 2 cores; writing in
-    place, at 395-400 MB.)  From ``ADAM_PARALLEL_MIN`` floats on, the worker thread of ``on_two_threads``
-    updates the slices past half the floats while the calling thread updates the rest; arrays are allocated,
-    and each ``p.data`` bound, on the calling thread.  A non-finite gradient in any parameter raises before
-    any parameter, ``m``, ``v`` or the step count is written.
+    Each parameter's moments ``m`` and ``v`` are views of two flat arrays.  Below ``ADAM_PARALLEL_MIN`` floats
+    ``step`` updates the whole model as one flat array: one ``concatenate`` each gathers the parameters and the
+    gradients, one check finds a non-finite gradient, and each parameter's floats are copied back.  From that
+    cut on it walks each parameter in slices along axis 0 of about ``ADAM_BLOCK`` floats, so every temporary
+    of the update is one slice long and stays in cache.  Either way it updates the moments in place and
+    computes ``p * decay - lr * m_hat / (sqrt(v_hat) + eps)``, in that operation order, into ``p.data`` itself
+    when that array owns its memory and only ``p`` holds it, else into a new array it binds to ``p.data``.
+    (A new table-sized array every step left glibc to fit it among the step's other arrays: paper-size
+    training peaked at 418-422 or at 439-446 MB from run to run, 15 s runs on 2 cores; writing in place, at
+    395-400 MB.)  In slices, the worker thread of ``on_two_threads`` updates the slices past half the floats
+    while the calling thread updates the rest; arrays are allocated, and each ``p.data`` bound, on the calling
+    thread.  A non-finite gradient in any parameter raises before any parameter, ``m``, ``v`` or the step
+    count is written.
     """
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 0.001, weight_decay: float = 0.0):
@@ -353,18 +359,24 @@ class Adam:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
+        self.bounds = np.cumsum([0, *(p.data.size for _, p in self.named_params)]).tolist()  # in the flat arrays
+        self.moments = np.zeros((2, self.bounds[-1]))  # m, then v, of every parameter in order
+        spans = list(zip(self.named_params, self.bounds, self.bounds[1:]))
+        self.m, self.v = ({name: flat[a:b].reshape(p.shape) for (name, p), a, b in spans} for flat in self.moments)
 
     def step(self) -> None:
-        for name, p in self.named_params:
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise OptimizationError(f"non-finite gradient in {name}")
+        params = self.named_params
+        grads = [np.broadcast_to(0.0, p.shape) if p.grad is None else p.grad for _, p in params]
+        whole = self.bounds[-1] < ADAM_PARALLEL_MIN  # one flat update, else slices
+        flat_g = np.concatenate(grads, axis=None) if whole else None
+        if not (np.isfinite(flat_g).all() if whole else all(np.isfinite(g).all() for g in grads)):
+            bad = next(name for (name, _), g in zip(params, grads) if not np.isfinite(g).all())
+            raise OptimizationError(f"non-finite gradient in {bad}")
         self.t += 1
         c1, c2 = 1 - ADAM_BETA1**self.t, 1 - ADAM_BETA2**self.t
         decay = 1.0 - self.lr * self.weight_decay  # exactly 1.0 without weight decay
 
-        def update(old, new, m, v, g):  # one slice of a parameter
+        def update(old, new, m, v, g):  # one slice of a parameter, or the whole flat model
             m *= ADAM_BETA1
             m += (1 - ADAM_BETA1) * g
             v *= ADAM_BETA2
@@ -373,29 +385,33 @@ class Adam:
             new -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
         alone = Tensor(np.empty(0))  # sys.getrefcount(alone.data) is that of a p.data only p holds
-        news, slices = [], []  # the array each update goes to; (old, new, m, v, g) per slice of every parameter
-        for name, p in self.named_params:
+        news = []  # the array each update goes to
+        for _, p in params:
             only_p = sys.getrefcount(p.data) <= sys.getrefcount(alone.data) and p.data.base is None
             news.append(p.data if only_p and p.data.flags.writeable else np.empty_like(p.data))
-            g = np.broadcast_to(0.0, p.shape) if p.grad is None else p.grad
-            arrays = p.data, news[-1], self.m[name], self.v[name], g
-            rows = ADAM_BLOCK * len(p.data) // p.data.size or 1
-            if rows >= len(p.data):  # one slice: the whole arrays, with no views to make
-                slices.append(arrays)
-            else:
-                slices += [tuple(a[start : start + rows] for a in arrays) for start in range(0, len(p.data), rows)]
-
-        def run(part):
-            for arrays in part:
-                update(*arrays)
-
-        floats = np.cumsum([0, *(arrays[0].size for arrays in slices)])
-        if floats[-1] < ADAM_PARALLEL_MIN:
-            run(slices)
+        if whole:
+            flat = np.concatenate([p.data for _, p in params], axis=None)
+            update(flat, flat, *self.moments, flat_g)
+            for new, a, b in zip(news, self.bounds, self.bounds[1:]):
+                new[...] = flat[a:b].reshape(new.shape)
         else:
+            slices = []  # (old, new, m, v, g) per slice of every parameter
+            for (name, p), new, g in zip(params, news, grads):
+                arrays = p.data, new, self.m[name], self.v[name], g
+                rows = ADAM_BLOCK * len(p.data) // p.data.size or 1
+                if rows >= len(p.data):  # one slice: the whole arrays, with no views to make
+                    slices.append(arrays)
+                else:
+                    slices += [tuple(a[start : start + rows] for a in arrays) for start in range(0, len(p.data), rows)]
+
+            def run(part):
+                for arrays in part:
+                    update(*arrays)
+
+            floats = np.cumsum([0, *(arrays[0].size for arrays in slices)])
             cut = int(np.searchsorted(floats, floats[-1] / 2))
             on_two_threads(lambda: run(slices[:cut]), lambda: run(slices[cut:]))
-        for (_, p), new in zip(self.named_params, news):
+        for (_, p), new in zip(params, news):
             p.data = new
 
 

@@ -65,8 +65,8 @@ def run(cell: LstmCell, x: Tensor, reverse: bool = False) -> Tensor:
 class PackedRowPass:
     """One LstmCell's walks with acts, cs and hs in packed row order; step t's rows are the list steps[t]."""
 
-    def __init__(self, cell: LstmCell, x: np.ndarray, bounds: list[int], reverse: bool, hs: np.ndarray):
-        self.cell, self.x, self.hs = cell, x, hs
+    def __init__(self, cell: LstmCell, x: np.ndarray, schedule, reverse: bool, hs: np.ndarray):
+        self.cell, self.x, self.hs, bounds = cell, x, hs, schedule.bounds  # its own steps from the bounds alone
         self.acts = np.empty((len(x), 4 * cell.hidden))
         self.cs = np.empty(hs.shape) if T.recording() else None
         self.w_x, self.w_h = layers._stacked(cell.w_x), layers._stacked(cell.w_h)

@@ -470,6 +470,42 @@ class TestParallelLayer:
         assert len(out._parents) == parents  # two cells' ops to concatenate, or x and both cells' parameters
 
     @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+    def test_every_walk_of_a_call_shares_one_schedule(self, monkeypatch, parallel):
+        monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0 if parallel else math.inf)
+        schedules, build = [], layers._CellPass.__init__
+
+        def watched_build(walk, cell, x, schedule, *args):
+            schedules.append(schedule)
+            build(walk, cell, x, schedule, *args)
+
+        monkeypatch.setattr(layers._CellPass, "__init__", watched_build)
+        net, x, lengths, _ = self._net_and_batch()
+        net(Tensor(x), lengths=lengths)
+        assert len(schedules) == 4 and all(s is schedules[0] for s in schedules)
+
+    # Training: 32 records of 34-46 rows (31 of 34 and one of 46 run the fewest rows per step).  Prediction:
+    # a 16-record chunk of 1-140 rows, each the least of its sixteenth of 1-180 rows, cut at 140.
+    PAPER_BATCHES = {"train": [34] * 31 + [46], "predict": np.minimum(1 + 180 * np.arange(16) // 16, 140).tolist()}
+
+    @pytest.mark.parametrize("lengths", PAPER_BATCHES.values(), ids=PAPER_BATCHES.keys())
+    def test_paper_shapes_take_the_threaded_path(self, monkeypatch, lengths):
+        paths = []
+
+        def layer(fwd, bwd, x, schedule):  # records the path and skips the walks
+            paths.append("threaded")
+            return Tensor(np.zeros((x.shape[0], 2 * fwd.hidden)))
+
+        def run(cell, x, **_):
+            paths.append("per cell")
+            return Tensor(np.zeros((x.shape[0], cell.hidden)))
+
+        monkeypatch.setattr(layers, "_bilstm_layer", layer)
+        monkeypatch.setattr(LstmCell, "run", run)
+        net = BiLstm(input_dim=3, hidden=180, layers=2, dropout=0.0, rng=np.random.default_rng(2))
+        net(rand_tensor(np.random.default_rng(3), (sum(lengths), 3)), lengths=lengths)
+        assert paths == ["threaded", "threaded"]
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
     def test_worker_keeps_the_callers_error_state(self, monkeypatch, parallel):
         # An overflow in the backward cell's BPTT raises where np.errstate says so, on either thread.
         monkeypatch.setattr(layers, "PARALLEL_MIN_STEP_WORK", 0 if parallel else math.inf)

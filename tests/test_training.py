@@ -226,6 +226,22 @@ class TestTotalLoss:
         squares = l2_penalty(*weights).item()
         assert squares == pytest.approx(sum(float((w.data**2).sum()) for w in weights), rel=1e-14)
 
+    def test_penalty_keeps_the_bits_of_subtracting_an_identity(self):
+        # The op subtracts 1.0 from each gram's diagonal alone; off it, x - 0.0 == x for every float, -0.0 too.
+        rng = np.random.default_rng(43)
+        shapes = ((7, 3), (3, 7), (5, 5), (1, 4), (4, 1))
+        weights = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        weights.append(Tensor(np.array([[-0.0, 1.0], [1.0, -0.0]]), requires_grad=True))  # signed zeros in the gram
+        ws = [w.data for w in weights]
+        tall = [w.shape[0] >= w.shape[1] for w in ws]
+        diffs = [(w.T @ w if t else w @ w.T) - np.eye(min(w.shape)) for w, t in zip(ws, tall)]
+        value = np.asarray(sum(float((d * d).sum()) for d in diffs))
+        penalty = orthogonality_penalty(*weights)
+        assert penalty.data.tobytes() == value.tobytes()
+        backward(penalty * 0.3)
+        for w, t, d in zip(weights, tall, diffs):
+            assert w.grad.tobytes() == (4.0 * np.asarray(0.3) * (w.data @ d if t else d @ w.data)).tobytes()
+
     def test_l2_term(self):
         rng = np.random.default_rng(23)
         logits, labels = self._batch(rng)
@@ -297,6 +313,29 @@ class TestAdam:
         w.grad = np.array([np.nan])
         with pytest.raises(OptimizationError, match="embedding.table"):
             opt.step()
+
+    @pytest.mark.parametrize("split", [False, True], ids=["flat", "slices"])
+    def test_non_finite_gradient_names_the_first_bad_parameter_and_writes_nothing(self, monkeypatch, split):
+        # Below ADAM_PARALLEL_MIN one check covers the flat gradient; the first bad parameter is still named.
+        if split:
+            monkeypatch.setattr(training, "ADAM_PARALLEL_MIN", 0)
+        params = [(name, Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)) for name in ("a", "b", "c", "d")]
+        grads = [np.array([0.5, 0.1, 0.2]), None, np.array([0.0, np.inf, 1.0]), np.array([np.nan, 0.0, 0.0])]
+        for (_, p), g in zip(params, grads):
+            p.grad = g
+        opt = Adam(params, lr=0.1, weight_decay=0.5)
+        with pytest.raises(OptimizationError, match="non-finite gradient in c$"):
+            opt.step()
+        assert opt.t == 0 and not opt.moments.any()
+        assert all(p.data.tolist() == [1.0, -2.0, 0.5] for _, p in params)
+
+    def test_moments_are_views_of_two_flat_arrays(self):
+        params = [("w", Tensor(np.ones((3, 2)), requires_grad=True)), ("b", Tensor(np.ones(4), requires_grad=True))]
+        opt = Adam(params, lr=0.1)
+        assert opt.moments.shape == (2, 10)
+        for name, p in params:
+            assert opt.m[name].shape == opt.v[name].shape == p.shape
+            assert np.shares_memory(opt.m[name], opt.moments[0]) and np.shares_memory(opt.v[name], opt.moments[1])
 
     def test_decoupled_weight_decay_shrinks_weights(self):
         w = Tensor(np.array([2.0]), requires_grad=True)
