@@ -1,7 +1,8 @@
 """Command-line interface: train, eval, predict, inspect-graph, sweep.
 
-train and sweep take --seed (default 42) so runs are reproducible, and
---set key=value for ad-hoc config overrides.  inspect-graph ignores labels.
+train and sweep take their config from --config (a JSON file) and repeatable
+--set key=value overrides of any TrainConfig field, applied in order.
+inspect-graph ignores labels.
 Exit code 0 means success, 2 a usage error, 1 any runtime failure;
 runtime failures carry a module-qualified message on stderr.
 """
@@ -15,12 +16,11 @@ import sys
 
 import numpy as np
 
-from .corpus import ADJACENCY_MODES, LABEL_SETS, MAX_TOKENS, CorpusError, build_graph, load_corpus
+from .corpus import ADJACENCY_MODES, MAX_TOKENS, CorpusError, build_graph, load_corpus
 from .files import write_lines
 from .metrics import evaluate
 from .tensor import GraphError, ShapeError
 from .training import (
-    DEFAULT_SEED,
     CheckpointError,
     ConfigError,
     Model,
@@ -63,10 +63,6 @@ def _positive_int(text: str) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file mirroring TrainConfig fields")
-    parser.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
-    parser.add_argument("--mode", choices=ADJACENCY_MODES, help="adjacency mode")
-    parser.add_argument("--pooling", help="percentile:P, average, or fc")
-    parser.add_argument("--classes", type=int, choices=list(LABEL_SETS), help="output classes")
     parser.add_argument(
         "--set",
         action="append",
@@ -80,20 +76,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve_config(args) -> TrainConfig:
     config = load_config(args.config) if args.config else TrainConfig()
     overrides: dict[str, str] = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.mode:
-        overrides["adjacency_mode"] = args.mode
-    if args.classes:
-        overrides["classes"] = str(args.classes)
-    if args.pooling:
-        if args.pooling.startswith("percentile:"):
-            overrides["pooling"] = "percentile"
-            overrides["pooling_p"] = args.pooling.split(":", 1)[1]
-        elif args.pooling in ("average", "fc"):
-            overrides["pooling"] = args.pooling
-        else:
-            raise ConfigError(f"--pooling expects percentile:P, average, or fc, got {args.pooling!r}")
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")

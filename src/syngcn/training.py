@@ -63,7 +63,6 @@ class ScoreError(ValueError):
 
 POOLING_MODES = ("percentile", "average", "fc")
 
-DEFAULT_SEED = 42
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and the update's denominator floor
 ADAM_BLOCK = 32768  # floats per slice of an Adam update: 256 KiB, so a slice's temporaries stay in cache
 # Floats from which Adam splits its slices between two threads; below it, one flat update on the calling
@@ -110,7 +109,7 @@ class TrainConfig:
     adjacency_mode: str = "syntax"
     epochs: int = 100
     min_count: int = 1
-    seed: int = DEFAULT_SEED
+    seed: int = 42
 
     def __post_init__(self):
         for field in fields(self):

@@ -77,7 +77,7 @@ class TestTrain:
         ckpt = tmp_path / "max.sgcn"
         code = main(
             ["train", "--train", str(workspace["corpus"]), "--checkpoint", str(ckpt),
-             "--pooling", "percentile:100", *TINY]
+             "--set", "pooling=percentile", "--set", "pooling_p=100", *TINY]
         )
         capsys.readouterr()
         assert code == 0
@@ -115,6 +115,38 @@ class TestTrain:
         assert code == 1
         assert "config:" in err and field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            (["--set", "epochs"], "--set expects KEY=VALUE, got 'epochs'"),
+            (["--config", "{tmp}/cfg.json"], "{tmp}/cfg.json: config must be a JSON object"),
+        ],
+        ids=["set-without-equals", "config-not-an-object"],
+    )
+    def test_malformed_config_input_fails_with_one_config_line(self, workspace, tmp_path, capsys, options, message):
+        (tmp_path / "cfg.json").write_text("[1, 2]")
+        code = main(
+            ["train", "--train", str(workspace["corpus"]), "--checkpoint", str(tmp_path / "x.sgcn"), *TINY,
+             *(option.format(tmp=tmp_path) for option in options)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"syngcn train: config: {message.format(tmp=tmp_path)}\n"
+        assert not (tmp_path / "x.sgcn").exists()
+
+    def test_verbose_logs_each_epoch_of_the_history(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "v.sgcn"
+        code = main(["train", "--train", str(workspace["corpus"]), "--checkpoint", str(ckpt), *TINY, "--verbose"])
+        err = capsys.readouterr().err
+        assert code == 0
+        history = load_history(str(ckpt) + ".history")
+        lines = err.splitlines()
+        assert len(history) == len(lines) == 2
+        for entry, line in zip(history, lines):
+            match = re.fullmatch(r"epoch (\d+): loss=(\S+) dev_macro_f=(\S+)", line)
+            assert match, line
+            assert int(match[1]) == entry["epoch"]
+            assert match[2] == f"{entry['train_loss']:.4f}" and match[3] == f"{entry['dev_macro_f']:.4f}"
+
     @pytest.mark.parametrize("flag", ["--checkpoint", "--out"])
     @pytest.mark.parametrize("fault", ["directory", "missing-parent"])
     def test_unwritable_output_path_fails_before_training(self, workspace, tmp_path, capsys, monkeypatch, flag, fault):
@@ -133,7 +165,7 @@ class TestTrain:
     def test_negative_seed_fails_with_config_message(self, workspace, tmp_path, capsys):
         code = main(
             ["train", "--train", str(workspace["corpus"]), "--checkpoint", str(tmp_path / "x.sgcn"),
-             *TINY, "--seed", "-1"]
+             *TINY, "--set", "seed=-1"]
         )
         err = capsys.readouterr().err
         assert code == 1
@@ -173,7 +205,7 @@ class TestTrain:
         rows = [json.loads(line) for line in workspace["corpus_bytes"].decode("utf-8").splitlines()]
         corpus.write_text("".join(json.dumps({**row, "label": EMOTION_NAMES[row["label"]]}) + "\n" for row in rows))
         code = main(
-            ["train", "--train", str(corpus), "--checkpoint", str(tmp_path / "x.sgcn"), *TINY, "--classes", "2"]
+            ["train", "--train", str(corpus), "--checkpoint", str(tmp_path / "x.sgcn"), *TINY, "--set", "classes=2"]
         )
         err = capsys.readouterr().err
         assert code == 1
@@ -247,6 +279,13 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(bad), "--test", str(workspace["corpus"])])
         assert code == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_checkpoint_directory_fails_with_one_checkpoint_line(self, workspace, tmp_path, capsys):
+        code = main(["eval", "--checkpoint", str(tmp_path), "--test", str(workspace["corpus"])])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        prefix = f"syngcn eval: checkpoint: cannot read checkpoint {tmp_path}: "
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
 
     def test_manifest_without_shape_fails_cleanly(self, workspace, tmp_path, capsys):
         import struct
@@ -727,13 +766,6 @@ class TestFuzz:
                 config = tmp_path / "config.json"
                 config.write_text(json.dumps(data.draw(_config_file())))
                 argv += ["--config", str(config)]
-            for flag, values in (
-                ("--pooling", st.sampled_from(["fc", "average", "percentile:0", "percentile:nan", "percentile:", "x"])),
-                ("--classes", st.sampled_from(["7", "2", "3", "x"])),
-                ("--seed", INT_TEXT),
-            ):
-                value = data.draw(st.none() | values)
-                argv += [] if value is None else [flag, value]
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -1037,6 +1037,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_path_rejected(self, tmp_path, target):
+        path = tmp_path / "absent.sgcn" if target == "missing" else tmp_path
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"cannot read checkpoint {path}: "), info.value
+
     def test_version_mismatch_rejected(self, trained, tmp_path):
         import struct
 
