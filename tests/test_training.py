@@ -673,6 +673,17 @@ class TestTrainLoop:
             with pytest.raises(OptimizationError, match=f"^{message}$"):
                 train(tiny_config(**overrides), train_recs[:records], dev_recs)
 
+    def test_each_epoch_scores_train_then_dev_in_one_call(self, tiny_corpus, monkeypatch):
+        train_recs, dev_recs = tiny_corpus
+        calls, original = [], Model.probabilities
+        monkeypatch.setattr(Model, "probabilities", lambda model, batch: calls.append(batch) or original(model, batch))
+        result = train(tiny_config(epochs=3), train_recs, dev_recs)
+        assert len(calls) == len(result.history) == 3
+        vocab = result.model.vocab
+        expected = [vocab.encode(rec.tokens) for rec in train_recs + dev_recs]
+        assert all(len(encoded) == len(expected) for encoded in calls)
+        assert all(np.array_equal(ids, want) for (ids, _), want in zip(calls[0], expected))
+
     def test_returned_model_holds_no_gradients(self, tiny_corpus):
         # The last batch's gradients were taken at other weights than the restored best epoch's.
         train_recs, dev_recs = tiny_corpus
@@ -680,18 +691,70 @@ class TestTrainLoop:
         assert [name for name, p in result.model.named_parameters() if p.grad is not None] == []
 
 
+def _scored_batches(model, encoded, monkeypatch):
+    """The batches model.probabilities(encoded) hands forward_batch, scored as zero logits."""
+    batches = []
+
+    def forward_batch(batch):
+        batches.append(batch)
+        return Tensor(np.zeros((len(batch), model.config.classes)))
+
+    monkeypatch.setattr(model, "forward_batch", forward_batch)
+    assert model.probabilities(encoded).shape == (len(encoded), model.config.classes)
+    assert [id(entry) for batch in batches for entry in batch] == [id(entry) for entry in encoded]
+    return batches
+
+
 class TestModelForward:
-    def test_probabilities_name_the_first_non_finite_record(self):
+    def test_probabilities_name_the_first_non_finite_record(self, monkeypatch):
         # Each record runs its own Bi-LSTM sequence, GCN block and pooling column,
         # so a NaN embedding row spoils only the records that hold its word.
+        # At batch_size 1 the four records still go in one batch, grown past batch_size.
         records = [Record(tuple(words), ((0, len(words)),), (0,) + (1,) * (len(words) - 1), 0)
                    for words in ("a", "b", "ca", "c")]
-        model = Model(tiny_config(), Vocabulary.from_words(["a", "b", "c"]))
-        model.embedding.table.data[model.vocab.lookup("c")] = np.nan
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ScoreError, match="^record 2: non-finite class scores$"):
-                model.probabilities([model.encode(rec) for rec in records])
+        for batch_size in (4, 1):
+            model = Model(tiny_config(batch_size=batch_size), Vocabulary.from_words(["a", "b", "c"]))
+            model.embedding.table.data[model.vocab.lookup("c")] = np.nan
+            sizes, original = [], model.forward_batch
+            monkeypatch.setattr(model, "forward_batch", lambda batch: sizes.append(len(batch)) or original(batch))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ScoreError, match="^record 2: non-finite class scores$"):
+                    model.probabilities([model.encode(rec) for rec in records])
+            assert sizes == [4], batch_size
+
+    @pytest.mark.parametrize("batch_size, max_len", [(8, 140), (4, 20)], ids=["gate_cap", "row_cap"])
+    def test_probabilities_grow_batches_of_short_records(self, monkeypatch, batch_size, max_len):
+        # At hidden 16 a gate row is 64 floats, so SCORE_GATE_FLOATS allows 512 rows: a batch of
+        # 3-6-token records grows to that, or to batch_size x max_len rows when that is fewer.
+        rng = np.random.default_rng(12)
+        records = _random_records(rng, rng.integers(3, 7, size=300).tolist())
+        config = tiny_config(embedding_size=8, hidden_neurons=16, batch_size=batch_size, max_len=max_len)
+        model = Model(config, build_vocab(records), np.random.default_rng(0))
+        encoded = [model.encode(rec) for rec in records]
+        batches = _scored_batches(model, encoded, monkeypatch)
+        sizes = [len(batch) for batch in batches]
+        rows = [sum(len(ids) for ids, _ in batch) for batch in batches]
+        most = min(training.SCORE_GATE_FLOATS // (4 * 16), batch_size * max_len)
+        assert all(size >= batch_size for size in sizes[:-1]) and max(sizes) > batch_size
+        grown = [count for size, count in zip(sizes, rows) if size > batch_size]
+        assert all(count * 4 * 16 <= training.SCORE_GATE_FLOATS for count in grown)
+        assert max(rows) <= batch_size * max_len  # the most a batch of batch_size records can hold
+        # Each batch stops at the first record that would take it past the cap.
+        assert all(count + len(after[0][0]) > most for count, after in zip(rows, batches[1:]))
+
+    def test_probabilities_keep_batch_size_records_at_paper_width(self, monkeypatch):
+        # At hidden 180 a 34-46-token record's gate rows alone pass SCORE_GATE_FLOATS.
+        rng = np.random.default_rng(13)
+        records = _random_records(rng, rng.integers(34, 47, size=100).tolist())
+        config = tiny_config(embedding_size=8, hidden_neurons=180, batch_size=32, max_len=140)
+        model = Model(config, build_vocab(records), np.random.default_rng(0))
+        batches = _scored_batches(model, [model.encode(rec) for rec in records], monkeypatch)
+        assert [len(batch) for batch in batches] == [32, 32, 32, 4]
+
+    def test_probabilities_of_no_records_run_no_forward(self, monkeypatch):
+        model = Model(tiny_config(), Vocabulary.from_words(["a"]))
+        assert _scored_batches(model, [], monkeypatch) == []
 
     def test_eval_forward_bit_identical(self, tiny_corpus):
         train_recs, _ = tiny_corpus
@@ -822,7 +885,7 @@ class TestModelForward:
 
     @pytest.mark.parametrize("batch_norm", [True, False], ids=["norm", "no_norm"])
     @pytest.mark.parametrize("pooling", ["percentile", "average", "fc"])
-    def test_probabilities_equal_the_taped_softmax(self, tiny_corpus, pooling, batch_norm):
+    def test_probabilities_equal_the_taped_softmax(self, tiny_corpus, monkeypatch, pooling, batch_norm):
         train_recs, _ = tiny_corpus
         config = tiny_config(lstm_layers=2, pooling=pooling, batch_norm=batch_norm, batch_size=3)
         model = Model(config, build_vocab(train_recs), np.random.default_rng(config.seed))
@@ -835,6 +898,24 @@ class TestModelForward:
         expected = np.concatenate([T.softmax(logits.data) for logits in taped])
         np.testing.assert_array_equal(model.probabilities(encoded), expected)
 
+        # 300 records of 3-6 tokens at 16/16 go in batches grown to about 512 rows (about 110
+        # records), and keep the bits of scoring them batch_size (8) records at a time.
+        rng = np.random.default_rng(5)
+        records = _random_records(rng, rng.integers(3, 7, size=300).tolist())
+        config = tiny_config(embedding_size=16, hidden_neurons=16, lstm_layers=2, pooling=pooling,
+                             batch_norm=batch_norm, batch_size=8, max_len=140)
+        model = Model(config, build_vocab(records), np.random.default_rng(0))
+        if batch_norm:
+            model.batch_norm.running_mean, model.batch_norm.running_var = rng.normal(size=32), rng.uniform(0.5, 2, 32)
+        encoded = [model.encode(rec) for rec in records]
+        with T.no_grad():
+            sliced = [model.forward_batch(encoded[start : start + 8]) for start in range(0, len(encoded), 8)]
+        expected = np.concatenate([T.softmax(logits.data) for logits in sliced])
+        sizes, original = [], model.forward_batch
+        monkeypatch.setattr(model, "forward_batch", lambda batch: sizes.append(len(batch)) or original(batch))
+        assert model.probabilities(encoded).tobytes() == expected.tobytes()
+        assert len(sizes) < 5 and min(sizes[:-1]) > 8 * 8, sizes
+
     def test_probabilities_peak_stays_under_four_cells_of_tape(self):
         # Each LSTM cell's rule holds acts [n, 4h], hs and cs [n, h].  A
         # tape of the 2-layer Bi-LSTM holds four such sets; without a tape
@@ -845,6 +926,25 @@ class TestModelForward:
         model = Model(config, build_vocab(records), np.random.default_rng(0))
         encoded = [model.encode(rec) for rec in records]
         one_cell = 6 * 8 * 30 * 32 * 8  # bytes
+        tracemalloc.start()
+        try:
+            model.probabilities(encoded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * one_cell
+
+    def test_grown_batches_peak_stays_under_four_cells_of_tape(self):
+        # 600 records of 3-6 tokens (about 2,700 rows) at hidden 16 and batch_size 32 score in
+        # batches grown past 32 records up to 512 rows, which the bound is computed for.  One batch
+        # of every record peaked at 3.9 MB, 4.6 times as high, and fails the bound.
+        rng = np.random.default_rng(14)
+        records = _random_records(rng, rng.integers(3, 7, size=600).tolist())
+        config = tiny_config(embedding_size=16, hidden_neurons=16, lstm_layers=2, batch_size=32, max_len=140)
+        model = Model(config, build_vocab(records), np.random.default_rng(0))
+        encoded = [model.encode(rec) for rec in records]
+        rows = training.SCORE_GATE_FLOATS // (4 * 16)
+        one_cell = 6 * rows * 16 * 8  # bytes
         tracemalloc.start()
         try:
             model.probabilities(encoded)
